@@ -91,7 +91,7 @@ CaseResult run_case(const DiGraph& g, const Fabric& fabric,
   CaseResult out;
   out.label = wc.label;
   GeneratedSchedule result;
-  out.synth_s = timed([&] { result = generate_schedule(g, fabric, options); });
+  out.synth_s = timed([&] { result = synthesize_schedule(g, fabric, options); });
   out.concurrent_flow = result.concurrent_flow;
   const int n = static_cast<int>(result.terminals.size());
   const DemandMatrix demand = effective_demand(options.workload, n);
@@ -155,8 +155,8 @@ bool weight_one_matches_uniform(const DiGraph& g, const Fabric& fabric) {
   ToolchainOptions unit = base;
   unit.workload.demand.kind = DemandSpec::Kind::kZipf;
   unit.workload.demand.zipf_s = 0.0;
-  const GeneratedSchedule a = generate_schedule(g, fabric, base);
-  const GeneratedSchedule b = generate_schedule(g, fabric, unit);
+  const GeneratedSchedule a = synthesize_schedule(g, fabric, base);
+  const GeneratedSchedule b = synthesize_schedule(g, fabric, unit);
   if (a.concurrent_flow != b.concurrent_flow) return false;
   if (a.path.has_value() != b.path.has_value()) return false;
   if (a.path.has_value()) {

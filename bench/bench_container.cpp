@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   std::string mmap_blob;  // largest delta container, reused below
   for (Case& c : fig10_cases(smoke)) {
     const GeneratedSchedule generated =
-        generate_schedule(c.graph, fabric, toolchain);
+        synthesize_schedule(c.graph, fabric, toolchain);
     const PathSchedule& sched = *generated.path;
     const DiGraph& g = generated.schedule_graph;
 

@@ -34,7 +34,7 @@ int main() {
   topologies.emplace_back("Ring(8)", make_ring(8));
 
   for (auto& [name, topo] : topologies) {
-    const auto generated = generate_schedule(topo, fabric);
+    const auto generated = synthesize_schedule(topo, fabric);
     const auto report = evaluate_dlrm(config, [&](double shard_bytes) {
       return simulate_link_schedule(generated.schedule_graph,
                                     generated.link.value(), shard_bytes, 8,

@@ -29,7 +29,7 @@ int main() {
             << (fabric.nic_forwarding ? "yes" : "no") << "\n";
 
   // 3. Generate the schedule (Fig. 1 decision flow picks the algorithm).
-  const GeneratedSchedule result = generate_schedule(topo, fabric);
+  const GeneratedSchedule result = synthesize_schedule(topo, fabric);
   std::cout << "Pipeline: " << result.notes << "\n";
   std::cout << "Optimal concurrent rate F = " << result.concurrent_flow
             << "  (all-to-all time 1/F = " << 1.0 / result.concurrent_flow

@@ -63,12 +63,6 @@ GeneratedSchedule generate_schedule(const DiGraph& topology,
   return result;
 }
 
-GeneratedSchedule generate_schedule(const DiGraph& topology,
-                                    const Fabric& fabric,
-                                    const ToolchainOptions& options) {
-  return synthesize_schedule(topology, fabric, options);
-}
-
 GeneratedSchedule synthesize_schedule(const DiGraph& topology,
                                       const Fabric& fabric,
                                       const ToolchainOptions& options) {

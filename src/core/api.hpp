@@ -1,6 +1,6 @@
 // Top-level toolchain API — the Fig. 1 decision flow.
 //
-// generate_schedule(topology, fabric) produces a ready-to-lower all-to-all
+// synthesize_schedule(topology, fabric) produces a ready-to-lower all-to-all
 // schedule:
 //   * no NIC forwarding            -> link-based schedule (tsMCF semantics):
 //       - host-to-NIC bottleneck?  -> Fig. 2 augmentation first
@@ -69,22 +69,15 @@ struct GeneratedSchedule {
   bool from_cache = false;
 };
 
-/// End-to-end schedule generation per Fig. 1.
-[[nodiscard]] GeneratedSchedule generate_schedule(const DiGraph& topology,
-                                                  const Fabric& fabric,
-                                                  const ToolchainOptions& options = {});
-
-/// The synthesis half of the fingerprint-first split the service layers
-/// build on: runs the Fig. 1 pipeline unconditionally, never consulting a
-/// cache. generate_schedule(topology, fabric, options) is this function;
-/// the name exists so call sites that already hold a fingerprint (the
-/// ScheduleBroker's coalesced miss path) say what they mean.
+/// End-to-end schedule generation per Fig. 1, and the synthesis half of the
+/// fingerprint-first split the service layers build on: runs the pipeline
+/// unconditionally, never consulting a cache.
 [[nodiscard]] GeneratedSchedule synthesize_schedule(const DiGraph& topology,
                                                     const Fabric& fabric,
                                                     const ToolchainOptions& options = {});
 
 /// The lookup half: cached schedule for an already-computed fingerprint, or
-/// nullopt on miss (or null cache). Decoded-value tier semantics — the
+/// nullopt on miss (or null cache). Decodes the cached envelope — the
 /// zero-copy byte path is ScheduleCache::lookup_artifact().
 [[nodiscard]] std::optional<GeneratedSchedule> lookup_schedule(
     ScheduleCache* cache, const std::string& fingerprint);
@@ -92,7 +85,7 @@ struct GeneratedSchedule {
 /// Cache-aware variant, now a thin composition of the fingerprint-first
 /// split: schedule_fingerprint() -> lookup_schedule() -> on miss,
 /// synthesize_schedule() + ScheduleCache::insert(). With a null cache this
-/// is identical to the three-argument overload.
+/// is synthesize_schedule().
 [[nodiscard]] GeneratedSchedule generate_schedule(const DiGraph& topology,
                                                   const Fabric& fabric,
                                                   const ToolchainOptions& options,

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -188,26 +189,6 @@ std::string schedule_content_key(std::string_view bytes) {
                 fnv1a(bytes, 0xc2b2ae3d27d4eb4fULL));
 }
 
-std::size_t schedule_memory_bytes(const GeneratedSchedule& s) {
-  std::size_t bytes = sizeof(GeneratedSchedule);
-  if (s.link.has_value()) {
-    bytes += sizeof(LinkSchedule) + s.link->transfers.size() * sizeof(Transfer);
-  }
-  if (s.path.has_value()) {
-    bytes += sizeof(PathSchedule) + s.path->entries.size() * sizeof(RouteEntry);
-    for (const RouteEntry& e : s.path->entries) {
-      bytes += e.path.size() * sizeof(EdgeId);
-    }
-  }
-  bytes += s.terminals.size() * sizeof(NodeId);
-  bytes += s.notes.size();
-  // Graph adjacency: the edge array plus one EdgeId per direction in the
-  // out/in adjacency lists.
-  bytes += static_cast<std::size_t>(s.schedule_graph.num_edges()) *
-           (sizeof(Edge) + 2 * sizeof(EdgeId));
-  return bytes;
-}
-
 // ------------------------------------------------------- entry envelope ---
 
 std::string generated_schedule_to_bytes(const GeneratedSchedule& schedule,
@@ -363,19 +344,26 @@ std::optional<std::string> resolve_ref(const std::string& disk_dir,
   return key;
 }
 
+/// Refreshes an artifact's age for the disk GC. False when the object is
+/// gone, so its views must not be served: another process's GC removed it,
+/// or this one's did between a disk hit's mmap and its promotion.
+bool refresh_age(const std::string& disk_dir, const std::string& key) {
+  std::error_code ec;
+  fs::last_write_time(object_path(disk_dir, key),
+                      fs::file_time_type::clock::now(), ec);
+  return ec != std::errc::no_such_file_or_directory;
+}
+
 struct DiskArtifact {
   fs::path path;
-  std::string key;  ///< object stem; empty for pre-v2 flat entries.
+  std::string key;  ///< object stem.
   std::uintmax_t size = 0;
   fs::file_time_type mtime;
 };
 
-/// Every finished artifact the disk tier holds: content-addressed objects
-/// plus pre-v2 flat `<fingerprint>.schedbin` entries at the top level —
-/// both serve lookups, so both must count toward (and be evictable under)
-/// the byte budget. In-flight ".tmp.<pid>.<seq>" files are skipped: a peer
-/// process's pending write must be neither counted nor evicted out from
-/// under its imminent rename.
+/// Every finished content-addressed object the disk tier holds. In-flight
+/// ".tmp.<pid>.<seq>" files are skipped: a peer process's pending write
+/// must be neither counted nor evicted out from under its imminent rename.
 std::pair<std::vector<DiskArtifact>, std::uintmax_t> scan_artifacts(
     const std::string& disk_dir) {
   std::vector<DiskArtifact> out;
@@ -392,130 +380,78 @@ std::pair<std::vector<DiskArtifact>, std::uintmax_t> scan_artifacts(
                    de.last_write_time(ec)});
     total += size;
   }
-  for (const auto& de : fs::directory_iterator(fs::path(disk_dir), ec)) {
-    if (!de.is_regular_file(ec) || de.path().extension() != ".schedbin") continue;
-    const std::uintmax_t size = de.file_size(ec);
-    if (ec) continue;
-    out.push_back({de.path(), "", size, de.last_write_time(ec)});
-    total += size;
-  }
   return {std::move(out), total};
-}
-
-}  // namespace
-
-namespace {
-
-/// Resolves a fingerprint to its artifact path ("" when absent). `had_ref`
-/// reports whether a ref file existed — a ref without its artifact is
-/// dangling (the object was GC'ed by another process) and worth cleaning.
-std::string resolve_entry(const std::string& disk_dir,
-                          const std::string& fingerprint, bool* had_ref) {
-  std::error_code ec;
-  const auto key = resolve_ref(disk_dir, fingerprint);
-  if (had_ref != nullptr) *had_ref = key.has_value();
-  if (key.has_value()) {
-    const fs::path obj = object_path(disk_dir, *key);
-    if (fs::exists(obj, ec)) return obj.string();
-  }
-  // Pre-v2 disk layout: one file per fingerprint, no sharing.
-  const fs::path legacy = fs::path(disk_dir) / (fingerprint + ".schedbin");
-  if (fs::exists(legacy, ec)) return legacy.string();
-  return {};
 }
 
 }  // namespace
 
 std::string ScheduleCache::entry_path(const std::string& fingerprint) const {
   if (options_.disk_dir.empty()) return {};
-  return resolve_entry(options_.disk_dir, fingerprint, nullptr);
+  const auto key = resolve_ref(options_.disk_dir, fingerprint);
+  if (!key.has_value()) return {};
+  const fs::path obj = object_path(options_.disk_dir, *key);
+  std::error_code ec;
+  return fs::exists(obj, ec) ? obj.string() : std::string{};
 }
 
 std::optional<GeneratedSchedule> ScheduleCache::lookup(
     const std::string& fingerprint) {
-  obs::TraceSpan span("cache.lookup");
-  A2A_COUNTER("cache.lookups").inc();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lookups;
-    if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
-      ++stats_.memory_hits;
-      A2A_COUNTER("cache.memory_hits").inc();
-      span.annotate("memory hit");
-      touch_locked(fingerprint);
-      return it->second.schedule;
-    }
-  }
-  // Disk read + decode happen outside the mutex so slow I/O never blocks
-  // other consumers' memory-tier hits.
-  if (!options_.disk_dir.empty()) {
-    bool had_ref = false;
-    const std::string path =
-        resolve_entry(options_.disk_dir, fingerprint, &had_ref);
-    if (!path.empty()) {
-      if (const auto bytes = read_file(path)) {
-        // A corrupt disk entry is a miss, not an error: the artifact is
-        // quarantined (kept for forensics, never served again), its ref
-        // dropped, and the caller re-synthesizes and overwrites it.
-        // std::exception, not just Error: a truncated or foreign payload
-        // can trip a length_error/bad_alloc in the decoder before the CRC
-        // gets a chance to reject it.
-        try {
-          GeneratedSchedule schedule = generated_schedule_from_bytes(*bytes);
-          // Refresh the artifact's age — but only where the GC will ever
-          // read it: with an unbounded tier this would be a pointless
-          // mtime-write syscall on every hot-path hit.
-          if (options_.max_disk_bytes > 0) {
-            std::error_code ec;
-            fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-          }
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_hits;
-          A2A_COUNTER("cache.disk_hits").inc();
-          span.annotate("disk hit");
-          insert_memory_locked(fingerprint, schedule);
-          return schedule;
-        } catch (const std::exception&) {
-          {
-            std::lock_guard<std::mutex> disk_lock(disk_mutex_);
-            quarantine_object(options_.disk_dir, path);
-          }
-          std::error_code ec;
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_corrupt;
-          A2A_COUNTER("cache.disk_corrupt").inc();
-          span.annotate("corrupt artifact quarantined");
-        }
-      }
-    } else if (had_ref) {
-      // Dangling ref (its artifact was GC'ed by another process): drop it.
-      std::error_code ec;
-      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  A2A_COUNTER("cache.misses").inc();
-  span.annotate("miss");
-  return std::nullopt;
+  GeneratedSchedule schedule;
+  if (!find(fingerprint, &schedule)) return std::nullopt;
+  return schedule;
 }
 
 std::optional<ArtifactView> ScheduleCache::lookup_artifact(
     const std::string& fingerprint) {
-  obs::TraceSpan span("cache.lookup_artifact");
+  return find(fingerprint, nullptr);
+}
+
+std::optional<ArtifactView> ScheduleCache::find(const std::string& fingerprint,
+                                                GeneratedSchedule* decoded) {
+  obs::TraceSpan span(decoded != nullptr ? "cache.lookup"
+                                         : "cache.lookup_artifact");
   A2A_COUNTER("cache.lookups").inc();
+  std::optional<Entry> resident;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.lookups;
+    if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      resident = it->second;
+    }
   }
-  if (!options_.disk_dir.empty()) {
-    bool had_ref = false;
-    const std::string path =
-        resolve_entry(options_.disk_dir, fingerprint, &had_ref);
-    if (!path.empty()) {
+  // The age refresh and any decode run outside the mutex so a syscall or
+  // a large decode never blocks other consumers' hits.
+  if (resident.has_value()) {
+    bool servable = options_.max_disk_bytes == 0 || resident->key.empty() ||
+                    refresh_age(options_.disk_dir, resident->key);
+    if (servable && decoded != nullptr) {
       try {
-        auto mapping = std::make_shared<const MmapFile>(path);
+        *decoded = generated_schedule_from_bytes(resident->view.envelope);
+      } catch (const std::exception&) {
+        servable = false;  // the disk path below re-reads and quarantines.
+      }
+    }
+    if (servable) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.memory_hits;
+      A2A_COUNTER("cache.memory_hits").inc();
+      span.annotate("memory hit");
+      return std::move(resident->view);
+    }
+    drop_memory(fingerprint, resident->view);
+  }
+  // Disk reads happen outside the mutex so slow I/O never blocks other
+  // consumers' memory-tier hits.
+  if (!options_.disk_dir.empty()) {
+    if (const auto key = resolve_ref(options_.disk_dir, fingerprint)) {
+      const fs::path path = object_path(options_.disk_dir, *key);
+      // A corrupt disk entry is a miss, not an error. std::exception, not
+      // just Error: a truncated or foreign payload can trip a
+      // length_error/bad_alloc in the decoder before the CRC gets a chance
+      // to reject it.
+      try {
+        auto mapping = std::make_shared<const MmapFile>(path.string());
         ArtifactView view = parse_schedule_envelope(mapping->view());
         // Header/trailer validation of the inner frame touches its first
         // and last pages only; chunk payloads keep their own CRCs for the
@@ -524,27 +460,28 @@ std::optional<ArtifactView> ScheduleCache::lookup_artifact(
         if (view.blob_size > 0) {
           (void)SchedBinReader::from_bytes(view.schedbin());
         }
-        view.mapping = std::move(mapping);
-        if (options_.max_disk_bytes > 0) {
-          std::error_code ec;
-          fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+        if (decoded != nullptr) {
+          *decoded = generated_schedule_from_bytes(view.envelope);
         }
+        view.mapping = std::move(mapping);
+        if (options_.max_disk_bytes > 0) refresh_age(options_.disk_dir, *key);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.disk_hits;
         A2A_COUNTER("cache.disk_hits").inc();
-        span.annotate("disk hit (zero-copy)");
+        span.annotate("disk hit");
+        insert_memory_locked(fingerprint, view, *key);
         return view;
       } catch (const std::exception&) {
         std::error_code ec;
         if (!fs::exists(path, ec)) {
-          // Not corruption: the object vanished between resolve and mmap
-          // (a concurrent GC won the race). Drop the dangling ref and
-          // degrade to a clean miss.
+          // Not corruption: a dangling ref (the object was GC'ed, perhaps
+          // by another process, possibly between resolve and mmap). Drop
+          // it and degrade to a clean miss.
           fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          span.annotate("lost race with disk GC");
+          span.annotate("dangling ref");
         } else {
-          // Same corrupt-artifact contract as lookup(): quarantine, drop
-          // the ref, degrade to a miss so the caller re-synthesizes.
+          // Quarantine (kept for forensics, never served again), drop the
+          // ref, and miss so the caller re-synthesizes and rewrites it.
           {
             std::lock_guard<std::mutex> disk_lock(disk_mutex_);
             quarantine_object(options_.disk_dir, path);
@@ -556,9 +493,6 @@ std::optional<ArtifactView> ScheduleCache::lookup_artifact(
           span.annotate("corrupt artifact quarantined");
         }
       }
-    } else if (had_ref) {
-      std::error_code ec;
-      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
     }
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -572,31 +506,33 @@ std::shared_ptr<const std::string> ScheduleCache::insert(
     const std::string& fingerprint, const GeneratedSchedule& schedule) {
   obs::TraceSpan span("cache.insert");
   A2A_COUNTER("cache.insertions").inc();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.insertions;
-    insert_memory_locked(fingerprint, schedule);
-  }
-  // The envelope is serialized even with the disk tier disabled: callers
-  // serving bytes (the broker's miss path) need it either way, and callers
-  // that don't simply drop the shared_ptr.
   auto bytes_ptr = std::make_shared<const std::string>(
       generated_schedule_to_bytes(schedule, options_.schedbin));
   const std::string& bytes = *bytes_ptr;
-  if (options_.disk_dir.empty()) return bytes_ptr;
+  ArtifactView view = parse_schedule_envelope(bytes);
+  view.bytes = bytes_ptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.insertions;
+  }
+  const bool oversize =
+      options_.max_disk_bytes > 0 && bytes.size() > options_.max_disk_bytes;
+  if (options_.disk_dir.empty() || oversize) {
+    // Held in memory only. An artifact larger than the whole disk budget
+    // would only be GC'ed right back (the memory tier's never-admit rule),
+    // so its write is skipped and counted for monitoring.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (oversize) {
+      ++stats_.disk_oversize_rejections;
+      A2A_COUNTER("cache.disk_oversize_rejections").inc();
+      span.annotate("disk oversize rejection");
+    }
+    insert_memory_locked(fingerprint, std::move(view), "");
+    return bytes_ptr;
+  }
   // Serialization and file I/O stay outside the LRU mutex; disk_mutex_
   // serializes writers and the GC within this process, and atomic renames
   // keep a fleet of processes safe.
-  if (options_.max_disk_bytes > 0 && bytes.size() > options_.max_disk_bytes) {
-    // Larger than the whole budget: writing it would only be GC'ed right
-    // back (same never-admit rule as the memory tier), so skip the write
-    // and count the rejection for monitoring.
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.disk_oversize_rejections;
-    A2A_COUNTER("cache.disk_oversize_rejections").inc();
-    span.annotate("disk oversize rejection");
-    return bytes_ptr;
-  }
   const std::string key = schedule_content_key(bytes);
   std::lock_guard<std::mutex> disk_lock(disk_mutex_);
   fs::create_directories(objects_dir(options_.disk_dir));
@@ -616,6 +552,11 @@ std::shared_ptr<const std::string> ScheduleCache::insert(
     wrote = true;
   }
   write_file_atomic(ref_path(options_.disk_dir, fingerprint).string(), key);
+  {
+    // Before the GC below, so evicting this very object drops the entry.
+    std::lock_guard<std::mutex> lock(mutex_);
+    insert_memory_locked(fingerprint, std::move(view), key);
+  }
   if (options_.max_disk_bytes > 0) {
     // Maintain the running total instead of walking the directory per
     // insert: seed it with one scan, then only GC (which rescans exactly)
@@ -653,8 +594,7 @@ void ScheduleCache::gc_disk() {
         fs::file_time_type::clock::now() - std::chrono::hours(1);
     std::error_code ec;
     for (const fs::path& dir :
-         {objects_dir(options_.disk_dir), refs_dir(options_.disk_dir),
-          fs::path(options_.disk_dir)}) {
+         {objects_dir(options_.disk_dir), refs_dir(options_.disk_dir)}) {
       for (const auto& de : fs::directory_iterator(dir, ec)) {
         if (!de.is_regular_file(ec)) continue;
         if (de.path().filename().string().find(".tmp.") == std::string::npos) {
@@ -669,7 +609,6 @@ void ScheduleCache::gc_disk() {
   if (total <= options_.max_disk_bytes) return;
   // Refcount pass: refs pointing at a victim are removed with it, so a
   // later lookup cleanly misses instead of chasing a dangling pointer.
-  // (Pre-v2 flat entries have no refs; removing the file is the eviction.)
   std::error_code ec;
   std::unordered_map<std::string, std::vector<fs::path>> refs_by_key;
   for (const auto& de : fs::directory_iterator(refs_dir(options_.disk_dir), ec)) {
@@ -682,22 +621,27 @@ void ScheduleCache::gc_disk() {
             [](const DiskArtifact& a, const DiskArtifact& b) {
               return a.mtime < b.mtime;
             });
-  std::uint64_t evicted = 0;
+  std::unordered_set<std::string> evicted;
   for (const DiskArtifact& victim : artifacts) {
     if (total <= options_.max_disk_bytes) break;
     fs::remove(victim.path, ec);
-    if (!victim.key.empty()) {
-      for (const fs::path& ref : refs_by_key[victim.key]) fs::remove(ref, ec);
-    }
+    for (const fs::path& ref : refs_by_key[victim.key]) fs::remove(ref, ec);
     total -= victim.size;
-    ++evicted;
+    evicted.insert(victim.key);
   }
   disk_total_ = static_cast<std::int64_t>(total);
   A2A_COUNTER("cache.gc_runs").inc();
-  A2A_COUNTER("cache.disk_evictions").add(evicted);
+  A2A_COUNTER("cache.disk_evictions").add(evicted.size());
   A2A_GAUGE("cache.disk_bytes").set(disk_total_);
   std::lock_guard<std::mutex> lock(mutex_);
-  stats_.disk_evictions += evicted;
+  stats_.disk_evictions += evicted.size();
+  // An evicted object's memory entries go with it: no mapping pins an
+  // unlinked file past the budget, and a fingerprint the disk no longer
+  // resolves is not served.
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    it = evicted.contains(it->second.key) ? erase_memory_locked(it)
+                                          : std::next(it);
+  }
 }
 
 std::size_t ScheduleCache::disk_object_count() const {
@@ -735,60 +679,52 @@ void ScheduleCache::clear() {
   A2A_GAUGE("cache.memory_bytes").set(0);
 }
 
-void ScheduleCache::touch_locked(const std::string& fingerprint) {
-  const auto it = entries_.find(fingerprint);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(fingerprint);
-  it->second.lru_it = lru_.begin();
+void ScheduleCache::insert_memory_locked(const std::string& fingerprint,
+                                         ArtifactView view, std::string key) {
+  if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
+    erase_memory_locked(it);
+  }
+  // Larger than the whole budget (every entry when the budget is 0): never
+  // admitted. The stale version is gone either way, so a hit cannot serve
+  // outdated data.
+  const std::size_t bytes = view.envelope.size();
+  if (bytes <= options_.max_memory_bytes) {
+    lru_.push_front(fingerprint);
+    entries_.emplace(fingerprint,
+                     Entry{std::move(view), std::move(key), lru_.begin()});
+    memory_bytes_ += bytes;
+  }
+  evict_over_budget_locked();
 }
 
-void ScheduleCache::insert_memory_locked(const std::string& fingerprint,
-                                         const GeneratedSchedule& schedule) {
-  // max_memory_bytes == 0 disables the memory tier outright. Without this
-  // gate every insert would be admitted and then immediately evicted by the
-  // budget sweep below (pure churn), and a zero-budget promote-from-disk
-  // would do the same on every disk hit.
-  if (options_.max_memory_bytes == 0) return;
-  const std::size_t bytes = schedule_memory_bytes(schedule);
+void ScheduleCache::drop_memory(const std::string& fingerprint,
+                                const ArtifactView& view) {
+  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(fingerprint);
-  if (bytes > options_.max_memory_bytes) {
-    // Larger than the whole budget: can never be resident. Also drop any
-    // smaller stale version so a hit cannot serve outdated data.
-    if (it != entries_.end()) {
-      memory_bytes_ -= it->second.bytes;
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      A2A_GAUGE("cache.memory_bytes")
-          .set(static_cast<std::int64_t>(memory_bytes_));
-    }
-    return;
+  if (it == entries_.end() ||
+      it->second.view.envelope.data() != view.envelope.data()) {
+    return;  // already replaced by a fresh insert.
   }
-  if (it != entries_.end()) {
-    memory_bytes_ -= it->second.bytes;
-    it->second.schedule = schedule;
-    it->second.bytes = bytes;
-    memory_bytes_ += bytes;
-    touch_locked(fingerprint);
-    evict_over_budget_locked();
-    return;
-  }
-  lru_.push_front(fingerprint);
-  entries_.emplace(fingerprint, Entry{schedule, bytes, lru_.begin()});
-  memory_bytes_ += bytes;
-  evict_over_budget_locked();
+  erase_memory_locked(it);
 }
 
 void ScheduleCache::evict_over_budget_locked() {
   while (memory_bytes_ > options_.max_memory_bytes) {
-    const auto it = entries_.find(lru_.back());
-    memory_bytes_ -= it->second.bytes;
-    entries_.erase(it);
-    lru_.pop_back();
+    erase_memory_locked(entries_.find(lru_.back()));
     ++stats_.memory_evictions;
     A2A_COUNTER("cache.memory_evictions").inc();
   }
   A2A_GAUGE("cache.memory_bytes")
       .set(static_cast<std::int64_t>(memory_bytes_));
+}
+
+ScheduleCache::EntryMap::iterator ScheduleCache::erase_memory_locked(
+    EntryMap::iterator it) {
+  memory_bytes_ -= it->second.view.envelope.size();
+  lru_.erase(it->second.lru_it);
+  A2A_GAUGE("cache.memory_bytes")
+      .set(static_cast<std::int64_t>(memory_bytes_));
+  return entries_.erase(it);
 }
 
 }  // namespace a2a

@@ -4,11 +4,12 @@
 // at Fig. 10 scale; at production scale the same (topology, fabric, options)
 // triple is requested over and over by many consumers. The cache keys
 // results by a fingerprint of the request's canonical form and serves them
-// from two tiers:
+// as envelope bytes (ArtifactView) from two tiers:
 //
-//   * an in-memory LRU of decoded GeneratedSchedule values, evicted by a
-//     decoded-size byte budget (schedules vary by 1000x in size; counting
-//     entries lets a handful of Fig. 10 monsters blow the heap), and
+//   * an in-memory LRU of envelopes, evicted by an envelope-byte budget
+//     (schedules vary by 1000x in size; counting entries lets a handful of
+//     Fig. 10 monsters blow the heap). An insert holds the heap envelope it
+//     serialized; a disk hit holds the artifact's mmap. And
 //   * an optional on-disk tier of SchedBin-based entry files, so a fleet of
 //     processes (or a restarted one) shares compiled artifacts. Disk
 //     entries are content-addressed: the artifact file is keyed by a hash
@@ -16,7 +17,8 @@
 //     at it, so identical schedules produced under different pipeline
 //     invocations (or different request options that happen to compile to
 //     the same schedule) share one artifact. A file-size byte budget
-//     garbage-collects the oldest artifacts and their refs.
+//     garbage-collects the oldest artifacts and their refs, and drops the
+//     memory entries that reference them.
 //
 // All operations are thread-safe; hit/miss counters expose the behaviour to
 // tests and monitoring.
@@ -37,8 +39,8 @@
 namespace a2a {
 
 struct ScheduleCacheOptions {
-  /// Byte budget for the in-memory LRU tier, accounted in decoded schedule
-  /// size (see schedule_memory_bytes). 0 disables the memory tier: every
+  /// Byte budget for the in-memory LRU tier, accounted in envelope bytes
+  /// (ArtifactView::envelope.size()). 0 disables the memory tier: every
   /// lookup goes to the disk tier (when configured) and nothing is retained
   /// in memory — useful for memory-constrained fleets sharing a disk cache.
   /// An entry larger than the whole budget is never admitted.
@@ -47,12 +49,13 @@ struct ScheduleCacheOptions {
   /// holds `objects/` (content-addressed artifacts) and `refs/`
   /// (fingerprint -> artifact pointers).
   std::string disk_dir;
-  /// Byte budget for the disk tier, accounted in artifact file size
-  /// (content-addressed objects AND pre-v2 flat entry files both count).
-  /// 0 = unbounded (the disk tier is enabled/disabled by disk_dir alone).
-  /// When exceeded after a write, the oldest artifacts and every ref
-  /// pointing at them are garbage-collected; an artifact alone larger than
-  /// the whole budget is never written.
+  /// Byte budget for the disk tier, accounted in the size of the
+  /// content-addressed object files. 0 = unbounded (the disk tier is
+  /// enabled/disabled by disk_dir alone). Under a budget every hit refreshes
+  /// its artifact's mtime, and when a write pushes the tier over budget the
+  /// oldest artifacts, every ref pointing at them and every memory entry
+  /// holding them are dropped; an artifact alone larger than the whole
+  /// budget is never written.
   std::size_t max_disk_bytes = 0;
   /// Container settings for on-disk entries.
   SchedBinOptions schedbin;
@@ -83,11 +86,6 @@ struct ScheduleCacheStats {
   [[nodiscard]] std::uint64_t hits() const { return memory_hits + disk_hits; }
 };
 
-/// Deterministic estimate of the resident bytes of a decoded schedule
-/// (vectors' elements, notes, graph adjacency). This is what the memory
-/// tier's byte budget accounts, exposed so callers can size budgets.
-[[nodiscard]] std::size_t schedule_memory_bytes(const GeneratedSchedule& s);
-
 /// Fingerprint of a generate_schedule() request: a 128-bit hash (32 hex
 /// chars) over the topology's canonical form (node count + sorted edge list
 /// with capacities), every fabric field, and every semantically relevant
@@ -101,10 +99,10 @@ struct ScheduleCacheStats {
 /// decode: the envelope header fields plus the byte range of the inner
 /// SchedBin frame. The bytes live either in an mmap'd disk object
 /// (`mapping`) or a heap buffer (`bytes`) — exactly one owner is set and
-/// `envelope` views into it. This is the zero-copy serving currency of the
-/// schedule service: a transport can write schedbin() straight from the
-/// page cache to a socket, and the client's SchedBinReader decodes chunks
-/// on demand with per-chunk CRCs.
+/// `envelope` views into it. This is what the cache's memory tier holds and
+/// the zero-copy serving currency of the schedule service: a transport can
+/// write schedbin() straight from the page cache to a socket, and the
+/// client's SchedBinReader decodes chunks on demand with per-chunk CRCs.
 struct ArtifactView {
   std::shared_ptr<const MmapFile> mapping;     ///< disk-tier hits.
   std::shared_ptr<const std::string> bytes;    ///< freshly serialized results.
@@ -138,65 +136,78 @@ class ScheduleCache {
   ScheduleCache(const ScheduleCache&) = delete;
   ScheduleCache& operator=(const ScheduleCache&) = delete;
 
-  /// Returns the cached schedule for `fingerprint`, checking memory then
-  /// disk. A disk hit is promoted into the memory tier.
+  /// lookup_artifact() plus a full decode of the envelope. A hit whose
+  /// envelope fails to decode is not a hit: a corrupt disk artifact is
+  /// quarantined exactly as in lookup_artifact() and the call is a miss.
   [[nodiscard]] std::optional<GeneratedSchedule> lookup(
       const std::string& fingerprint);
 
-  /// Zero-copy lookup: resolves `fingerprint` to its disk artifact, mmaps
-  /// it, validates the inner SchedBin frame's header/trailer (a few pages,
-  /// not the whole file) and returns the view — the decoded memory tier is
-  /// neither consulted nor populated, so the hot serving path never pays a
-  /// decode. A corrupt artifact is quarantined exactly as in lookup() and
-  /// the call degrades to a miss. Counts into the same lookup/hit/miss
-  /// stats as lookup(). Always a miss when the disk tier is disabled.
+  /// Zero-copy lookup: the memory tier, then the disk tier, then a miss. A
+  /// disk hit mmaps the artifact, validates the inner SchedBin frame's
+  /// header/trailer (a few pages, not the whole file) and promotes the view
+  /// into the memory tier. A corrupt artifact is moved into
+  /// `<disk_dir>/quarantine/`, its ref dropped, and the call degrades to a
+  /// miss. Under a disk budget every hit refreshes its artifact's mtime; a
+  /// memory entry whose artifact has vanished (another process's GC) is
+  /// dropped and re-resolved instead of served.
   [[nodiscard]] std::optional<ArtifactView> lookup_artifact(
       const std::string& fingerprint);
 
-  /// Stores `schedule` in the memory tier (evicting LRU entries past the
-  /// byte budget) and, when a disk_dir is configured, writes (or dedups
-  /// against) the content-addressed artifact and its ref file. Returns the
-  /// serialized envelope so callers that serve bytes (the ScheduleBroker)
-  /// reuse the exact artifact written instead of re-encoding.
+  /// Serializes `schedule` into its envelope, writes (or dedups against)
+  /// the content-addressed disk artifact and its ref file when a disk_dir
+  /// is configured, and holds the envelope in the memory tier (evicting LRU
+  /// entries past the byte budget). Returns the envelope so callers that
+  /// serve bytes (the ScheduleBroker) reuse the exact artifact written
+  /// instead of re-encoding.
   std::shared_ptr<const std::string> insert(const std::string& fingerprint,
                                             const GeneratedSchedule& schedule);
 
   [[nodiscard]] ScheduleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
-  /// Decoded bytes currently held by the memory tier.
+  /// Envelope bytes currently held by the memory tier.
   [[nodiscard]] std::size_t memory_bytes() const;
   void clear();  ///< drops the memory tier only; disk entries persist.
 
   /// Path of the disk artifact a fingerprint currently resolves to (""
   /// when the disk tier is disabled or the fingerprint has no entry).
   [[nodiscard]] std::string entry_path(const std::string& fingerprint) const;
-  /// Artifact files the disk tier currently holds (content-addressed
-  /// objects plus pre-v2 flat entries) and their total size. Exposed for
-  /// tests and monitoring.
+  /// Artifact files the disk tier currently holds and their total size.
+  /// Exposed for tests and monitoring.
   [[nodiscard]] std::size_t disk_object_count() const;
   [[nodiscard]] std::size_t disk_bytes() const;
 
  private:
-  void touch_locked(const std::string& fingerprint);
-  void insert_memory_locked(const std::string& fingerprint,
-                            const GeneratedSchedule& schedule);
+  struct Entry {
+    ArtifactView view;
+    std::string key;  ///< content key of the disk artifact, "" if none.
+    std::list<std::string>::iterator lru_it;
+  };
+  using EntryMap = std::unordered_map<std::string, Entry>;
+
+  /// lookup() and lookup_artifact() in one; with `decoded` set a hit is
+  /// also decoded into it, and a decode failure is corruption, not a hit.
+  std::optional<ArtifactView> find(const std::string& fingerprint,
+                                   GeneratedSchedule* decoded);
+  /// Holds `view` under `fingerprint`, replacing any older entry; `key` is
+  /// the content key of its disk artifact ("" when it has none).
+  void insert_memory_locked(const std::string& fingerprint, ArtifactView view,
+                            std::string key);
+  /// Drops `fingerprint`'s entry if it still holds the envelope `view`.
+  void drop_memory(const std::string& fingerprint, const ArtifactView& view);
   void evict_over_budget_locked();
+  EntryMap::iterator erase_memory_locked(EntryMap::iterator it);
   void gc_disk();  ///< enforces max_disk_bytes; caller holds disk_mutex_.
 
   ScheduleCacheOptions options_;
   mutable std::mutex mutex_;
   /// MRU-first list of fingerprints plus value map (classic LRU pairing).
   std::list<std::string> lru_;
-  struct Entry {
-    GeneratedSchedule schedule;
-    std::size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::unordered_map<std::string, Entry> entries_;
+  EntryMap entries_;
   std::size_t memory_bytes_ = 0;
   ScheduleCacheStats stats_;
   /// Serializes disk writes + GC + directory scans (artifact reads stay
-  /// lock-free; a read racing a GC deletion degrades to a miss). mutable:
+  /// lock-free; a read racing a GC deletion degrades to a miss). Taken
+  /// before mutex_ when both are held. mutable:
   /// the const observers disk_object_count()/disk_bytes() scan under it —
   /// unprotected they would race a concurrent GC's renames and count
   /// vanished files as size -1.

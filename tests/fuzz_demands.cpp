@@ -209,9 +209,9 @@ ToolchainOptions unit_zipf_workload() {
 TEST(FuzzDemands, UnitWeightLinkScheduleIsByteIdenticalToDefault) {
   const DiGraph g = make_hypercube(3);
   const Fabric fabric = gpu_mscl_fabric();
-  const GeneratedSchedule base = generate_schedule(g, fabric);
+  const GeneratedSchedule base = synthesize_schedule(g, fabric);
   const GeneratedSchedule weighted =
-      generate_schedule(g, fabric, unit_zipf_workload());
+      synthesize_schedule(g, fabric, unit_zipf_workload());
   ASSERT_TRUE(base.link.has_value());
   ASSERT_TRUE(weighted.link.has_value());
   EXPECT_EQ(std::bit_cast<std::uint64_t>(base.concurrent_flow),
@@ -223,9 +223,9 @@ TEST(FuzzDemands, UnitWeightLinkScheduleIsByteIdenticalToDefault) {
 TEST(FuzzDemands, UnitWeightPathScheduleIsByteIdenticalToDefault) {
   const DiGraph g = make_generalized_kautz(12, 3);
   const Fabric fabric = hpc_cerio_fabric();
-  const GeneratedSchedule base = generate_schedule(g, fabric);
+  const GeneratedSchedule base = synthesize_schedule(g, fabric);
   const GeneratedSchedule weighted =
-      generate_schedule(g, fabric, unit_zipf_workload());
+      synthesize_schedule(g, fabric, unit_zipf_workload());
   ASSERT_TRUE(base.path.has_value());
   ASSERT_TRUE(weighted.path.has_value());
   EXPECT_EQ(std::bit_cast<std::uint64_t>(base.concurrent_flow),
@@ -243,9 +243,9 @@ TEST(FuzzDemands, UnitWeightUnrolledScheduleIsByteIdenticalToDefault) {
   base_options.exact_tsmcf_limit = 4;  // force the decomposed branch
   ToolchainOptions weighted_options = unit_zipf_workload();
   weighted_options.exact_tsmcf_limit = 4;
-  const GeneratedSchedule base = generate_schedule(g, fabric, base_options);
+  const GeneratedSchedule base = synthesize_schedule(g, fabric, base_options);
   const GeneratedSchedule weighted =
-      generate_schedule(g, fabric, weighted_options);
+      synthesize_schedule(g, fabric, weighted_options);
   ASSERT_TRUE(base.link.has_value());
   ASSERT_TRUE(weighted.link.has_value());
   EXPECT_EQ(base.kind, ScheduleKind::kLinkUnrolled);

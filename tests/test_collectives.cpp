@@ -217,7 +217,7 @@ TEST(Collective, ComposedAllReduceScheduleIsNoFasterThanEitherStage) {
     ToolchainOptions options;
     options.workload.collective = kind;
     options.workload.demand = spec;
-    const GeneratedSchedule result = generate_schedule(g, fabric, options);
+    const GeneratedSchedule result = synthesize_schedule(g, fabric, options);
     const DemandMatrix check = effective_demand(
         options.workload, static_cast<int>(result.terminals.size()));
     EXPECT_TRUE(validate_path_schedule(result.schedule_graph, *result.path,

@@ -12,7 +12,7 @@ namespace {
 
 TEST(CoreApi, MlFabricSmallTopologyUsesExactTsMcf) {
   const DiGraph g = make_hypercube(3);
-  const auto result = generate_schedule(g, gpu_mscl_fabric());
+  const auto result = synthesize_schedule(g, gpu_mscl_fabric());
   EXPECT_EQ(result.kind, ScheduleKind::kLinkTsMcf);
   ASSERT_TRUE(result.link.has_value());
   EXPECT_NEAR(result.concurrent_flow, 0.25, 1e-4);
@@ -32,7 +32,7 @@ TEST(CoreApi, MlFabricLargeTopologyUnrollsDecomposedMcf) {
   ToolchainOptions options;
   options.mcf.master = MasterMode::kFptas;
   options.mcf.fptas_epsilon = 0.05;
-  const auto result = generate_schedule(g, fabric, options);
+  const auto result = synthesize_schedule(g, fabric, options);
   EXPECT_EQ(result.kind, ScheduleKind::kLinkUnrolled);
   ASSERT_TRUE(result.link.has_value());
   EXPECT_TRUE(validate_link_schedule(result.schedule_graph, *result.link,
@@ -48,7 +48,7 @@ TEST(CoreApi, HostBottleneckTriggersAugmentation) {
   ToolchainOptions options;
   options.mcf.master = MasterMode::kFptas;
   options.mcf.fptas_epsilon = 0.05;
-  const auto result = generate_schedule(g, cpu_oneccl_fabric(), options);
+  const auto result = synthesize_schedule(g, cpu_oneccl_fabric(), options);
   EXPECT_NE(result.notes.find("augmentation"), std::string::npos);
   EXPECT_EQ(result.terminals.size(), 27u);
   EXPECT_EQ(result.schedule_graph.num_nodes(), 81);
@@ -62,7 +62,7 @@ TEST(CoreApi, HostBottleneckTriggersAugmentation) {
 
 TEST(CoreApi, HpcFabricLowDiversityUsesPMcf) {
   const DiGraph g = make_generalized_kautz(12, 3);
-  const auto result = generate_schedule(g, hpc_cerio_fabric());
+  const auto result = synthesize_schedule(g, hpc_cerio_fabric());
   EXPECT_EQ(result.kind, ScheduleKind::kPathPMcf);
   ASSERT_TRUE(result.path.has_value());
   EXPECT_TRUE(validate_path_schedule(g, *result.path, result.terminals).ok);
@@ -75,7 +75,7 @@ TEST(CoreApi, HpcFabricHighDiversityUsesExtraction) {
   const DiGraph g = make_torus({3, 3, 3});
   ToolchainOptions options;
   options.path_diversity_threshold = 64;
-  const auto result = generate_schedule(g, hpc_cerio_fabric(), options);
+  const auto result = synthesize_schedule(g, hpc_cerio_fabric(), options);
   EXPECT_EQ(result.kind, ScheduleKind::kPathExtracted);
   ASSERT_TRUE(result.path.has_value());
   EXPECT_TRUE(validate_path_schedule(g, *result.path, result.terminals).ok);

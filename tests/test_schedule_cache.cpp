@@ -35,7 +35,7 @@ struct TempDir {
   }
 };
 
-/// Synthetic schedule whose memory footprint scales with `transfers` and
+/// Synthetic schedule whose envelope size scales with `transfers` and
 /// whose serialized content is distinguished by `tag` — precise byte-budget
 /// and dedup experiments without running the LP/MCF pipeline.
 GeneratedSchedule make_sized(int transfers, int tag) {
@@ -53,6 +53,11 @@ GeneratedSchedule make_sized(int transfers, int tag) {
   s.terminals = {0, 1, 2, 3};
   s.notes = "synthetic";
   return s;
+}
+
+/// What the memory tier's byte budget counts for `s`: its envelope size.
+std::size_t envelope_bytes(const GeneratedSchedule& s) {
+  return generated_schedule_to_bytes(s).size();
 }
 
 TEST(Fingerprint, StableAndSensitive) {
@@ -127,8 +132,8 @@ TEST(ScheduleCache, ByteBudgetEvictsLruOldest) {
   const GeneratedSchedule a = make_sized(100, 1);
   const GeneratedSchedule b = make_sized(100, 2);
   const GeneratedSchedule c = make_sized(100, 3);
-  const std::size_t each = schedule_memory_bytes(a);
-  ASSERT_EQ(each, schedule_memory_bytes(b));
+  const std::size_t each = envelope_bytes(a);
+  ASSERT_EQ(each, envelope_bytes(b));
 
   ScheduleCacheOptions options;
   options.max_memory_bytes = 2 * each;  // room for exactly two
@@ -151,8 +156,8 @@ TEST(ScheduleCache, MixedSizeEvictionFreesEnoughBytes) {
   // One large insert must evict as many small LRU entries as it takes.
   const GeneratedSchedule small = make_sized(50, 1);
   const GeneratedSchedule large = make_sized(400, 2);
-  const std::size_t small_bytes = schedule_memory_bytes(small);
-  const std::size_t large_bytes = schedule_memory_bytes(large);
+  const std::size_t small_bytes = envelope_bytes(small);
+  const std::size_t large_bytes = envelope_bytes(large);
   ASSERT_GT(large_bytes, 3 * small_bytes);
 
   ScheduleCacheOptions options;
@@ -176,7 +181,7 @@ TEST(ScheduleCache, BudgetExactlyMetKeepsEntries) {
   const GeneratedSchedule a = make_sized(64, 1);
   const GeneratedSchedule b = make_sized(64, 2);
   ScheduleCacheOptions options;
-  options.max_memory_bytes = schedule_memory_bytes(a) + schedule_memory_bytes(b);
+  options.max_memory_bytes = envelope_bytes(a) + envelope_bytes(b);
   ScheduleCache cache(options);
   cache.insert("a", a);
   cache.insert("b", b);
@@ -192,7 +197,7 @@ TEST(ScheduleCache, BudgetExactlyMetKeepsEntries) {
 TEST(ScheduleCache, SingleEntryLargerThanBudgetNeverAdmitted) {
   const GeneratedSchedule big = make_sized(1000, 1);
   ScheduleCacheOptions options;
-  options.max_memory_bytes = schedule_memory_bytes(big) - 1;
+  options.max_memory_bytes = envelope_bytes(big) - 1;
   ScheduleCache cache(options);
   cache.insert("big", big);
   EXPECT_EQ(cache.size(), 0u);
@@ -399,40 +404,6 @@ TEST(ScheduleCache, OversizeArtifactIsNeverWrittenToDisk) {
   EXPECT_EQ(cache.stats().disk_writes, 1u);
 }
 
-TEST(ScheduleCache, LegacyFlatEntriesCountTowardDiskBudgetAndEvict) {
-  const TempDir dir;
-  ScheduleCacheOptions options;
-  options.disk_dir = dir.path.string();
-  // A pre-v2 cache layout: one flat <fingerprint>.schedbin at the top
-  // level. It must serve lookups, count toward the byte budget, and be
-  // evictable by the GC like any object.
-  const GeneratedSchedule legacy_schedule = make_sized(300, 1);
-  const std::string legacy_bytes =
-      generated_schedule_to_bytes(legacy_schedule, options.schedbin);
-  {
-    std::ofstream out(dir.path / "legacyfp.schedbin", std::ios::binary);
-    out.write(legacy_bytes.data(),
-              static_cast<std::streamsize>(legacy_bytes.size()));
-  }
-  ScheduleCache cache(options);
-  EXPECT_EQ(cache.disk_bytes(), legacy_bytes.size());
-  EXPECT_EQ(cache.disk_object_count(), 1u);
-  ASSERT_TRUE(cache.lookup("legacyfp").has_value());
-
-  // A budgeted cache inserting a new artifact must GC the (older) legacy
-  // file once the combined size crosses the budget.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ScheduleCacheOptions budgeted = options;
-  budgeted.max_disk_bytes = legacy_bytes.size() + legacy_bytes.size() / 2;
-  ScheduleCache squeezed(budgeted);
-  squeezed.insert("fresh", make_sized(300, 2));
-  EXPECT_EQ(squeezed.disk_object_count(), 1u);
-  EXPECT_GE(squeezed.stats().disk_evictions, 1u);
-  EXPECT_FALSE(fs::exists(dir.path / "legacyfp.schedbin"))
-      << "the older legacy entry was the GC victim";
-  EXPECT_FALSE(squeezed.entry_path("fresh").empty());
-}
-
 TEST(ScheduleCache, CorruptDiskEntryIsAMissNotAnError) {
   const TempDir dir;
   const DiGraph g = make_ring(6);
@@ -521,7 +492,8 @@ TEST(ScheduleCache, EnvelopeRoundTripsPathSchedules) {
   // A path-kind GeneratedSchedule (NIC-forwarding fabric) through the disk
   // envelope: graph, terminals, notes, vc layers and bit-exact weights.
   const DiGraph g = make_hypercube(3);
-  const GeneratedSchedule original = generate_schedule(g, hpc_cerio_fabric(), {});
+  const GeneratedSchedule original =
+      synthesize_schedule(g, hpc_cerio_fabric(), {});
   ASSERT_TRUE(original.path.has_value());
   const std::string bytes = generated_schedule_to_bytes(original);
   const GeneratedSchedule decoded = generated_schedule_from_bytes(bytes);
@@ -580,26 +552,113 @@ TEST(ScheduleCache, LookupArtifactServesMmapWithoutDecode) {
   const GeneratedSchedule schedule = make_sized(80, 4);
   const auto bytes = cache.insert("fp", schedule);
 
+  // insert() holds the very envelope it serialized in the memory tier.
+  const auto fresh = cache.lookup_artifact("fp");
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->bytes, bytes);
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+
+  // With the memory tier dropped, a disk hit serves the object's pages and
+  // promotes the mapping into memory.
+  cache.clear();
   const auto view = cache.lookup_artifact("fp");
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->mapping);  // zero-copy: the disk object's pages.
   EXPECT_FALSE(view->bytes);
   EXPECT_EQ(std::string(view->envelope), *bytes);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
-  // The artifact path stays byte-path only: the decoded memory tier was
-  // neither consulted nor populated.
-  EXPECT_EQ(cache.size(), 1u);  // insert() populated it...
-  cache.clear();
-  EXPECT_TRUE(cache.lookup_artifact("fp").has_value());
-  EXPECT_EQ(cache.size(), 0u);  // ...lookup_artifact() does not.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size());
+  const auto again = cache.lookup_artifact("fp");
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->mapping, view->mapping);
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
 
   EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
+}
+
+TEST(ScheduleCache, LookupArtifactHitsWithoutDiskDir) {
+  ScheduleCache cache;  // memory tier only.
+  const auto bytes = cache.insert("fp", make_sized(40, 1));
+  const auto view = cache.lookup_artifact("fp");
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->bytes, bytes);
+  EXPECT_EQ(view->envelope, std::string_view(*bytes));
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size());
+  EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ScheduleCache, MemoryHitUnderDiskBudgetRefreshesArtifactAge) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  options.max_disk_bytes = 1 << 20;
+  ScheduleCache cache(std::move(options));
+  cache.insert("fp", make_sized(40, 1));
+  const std::string path = cache.entry_path("fp");
+  ASSERT_FALSE(path.empty());
+  const auto aged = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(path, aged);
+
+  ASSERT_TRUE(cache.lookup_artifact("fp").has_value());
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
+  // The GC ages artifacts by mtime: a memory hit must count as use.
+  EXPECT_GT(fs::last_write_time(path), aged + std::chrono::minutes(59));
+}
+
+TEST(ScheduleCache, GcEvictedObjectLeavesMemoryTier) {
+  const TempDir dir;
+  const std::size_t artifact = envelope_bytes(make_sized(300, 0));
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  options.max_disk_bytes = 2 * artifact + artifact / 2;
+  ScheduleCache cache(std::move(options));
+  const auto now = fs::file_time_type::clock::now();
+  cache.insert("first", make_sized(300, 1));
+  fs::last_write_time(cache.entry_path("first"), now - std::chrono::hours(2));
+  cache.insert("second", make_sized(300, 2));
+  fs::last_write_time(cache.entry_path("second"), now - std::chrono::hours(1));
+  EXPECT_EQ(cache.size(), 2u);
+
+  // The third artifact pushes the disk over budget; "first" is the oldest.
+  cache.insert("third", make_sized(300, 3));
+  EXPECT_EQ(cache.stats().disk_evictions, 1u);
+  EXPECT_TRUE(cache.entry_path("first").empty());
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.memory_bytes(), 2 * artifact);
+  EXPECT_FALSE(cache.lookup_artifact("first").has_value())
+      << "a fingerprint the disk no longer resolves is not served";
+  EXPECT_EQ(cache.stats().memory_hits, 0u);
+  EXPECT_TRUE(cache.lookup_artifact("second").has_value());
+  EXPECT_TRUE(cache.lookup_artifact("third").has_value());
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+}
+
+TEST(ScheduleCache, MemoryEntryWhoseArtifactVanishedIsNotServed) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  options.max_disk_bytes = 1 << 20;
+  ScheduleCache cache(std::move(options));
+  cache.insert("fp", make_sized(40, 1));
+  // Another process's GC unlinks the object behind this cache's back.
+  fs::remove(cache.entry_path("fp"));
+  EXPECT_FALSE(cache.lookup_artifact("fp").has_value());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().memory_hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().disk_corrupt, 0u);
 }
 
 TEST(ScheduleCache, LookupArtifactQuarantinesCorruptObjects) {
   const TempDir dir;
   ScheduleCacheOptions options;
   options.disk_dir = dir.path.string();
+  options.max_memory_bytes = 0;  // force lookups to the disk tier
   ScheduleCache cache(std::move(options));
   cache.insert("fp", make_sized(80, 5));
   const std::string path = cache.entry_path("fp");

@@ -12,12 +12,12 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
@@ -166,8 +166,7 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
 
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -210,9 +209,47 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
   EXPECT_EQ(pipeline_invocations() - runs_before, 1u);
 }
 
+TEST(ScheduleBroker, LateMissAfterTheLeaderLeftIsServedFromTheCache) {
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
+  const DiGraph topo = make_ring(6);
+  const Fabric fabric = hpc_cerio_fabric();
+  const ToolchainOptions options = fresh_options();
+
+  // The first request to reach the seam parks there: it has missed the
+  // cache but not yet claimed leadership.
+  std::promise<void> parked;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> first{true};
+  broker.set_claim_hook([&](const std::string&) {
+    if (!first.exchange(false)) return;
+    parked.set_value();
+    released.wait();
+  });
+
+  const std::uint64_t runs_before = pipeline_invocations();
+  service::BrokerResult late;
+  std::thread late_thread(
+      [&] { late = broker.request(topo, fabric, options); });
+  parked.get_future().wait();
+  // A leader now synthesizes, publishes and erases its in-flight slot.
+  const service::BrokerResult leader = broker.request(topo, fabric, options);
+  EXPECT_FALSE(leader.hit);
+  EXPECT_EQ(broker.inflight(), 0u);
+  release.set_value();
+  late_thread.join();
+
+  // The late request finds no in-flight slot; it must find the artifact
+  // instead of running the same synthesis again.
+  EXPECT_EQ(pipeline_invocations() - runs_before, 1u);
+  EXPECT_TRUE(late.hit);
+  EXPECT_EQ(std::string(late.view.envelope), std::string(leader.view.envelope));
+}
+
 TEST(ScheduleBroker, LeaderFailurePropagatesAndClearsTheSlot) {
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(nullptr, &pool);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
 
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -250,7 +287,7 @@ TEST(ScheduleBroker, LeaderFailurePropagatesAndClearsTheSlot) {
   EXPECT_FALSE(result.hit);
 }
 
-TEST(ScheduleBroker, HitsAreServedFromHotTierWithoutCacheTraffic) {
+TEST(ScheduleBroker, HitsAreServedFromMemoryWithoutDiskTraffic) {
   TempDir dir;
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
@@ -265,11 +302,13 @@ TEST(ScheduleBroker, HitsAreServedFromHotTierWithoutCacheTraffic) {
   ASSERT_TRUE(miss.view.valid());
   EXPECT_TRUE(miss.view.bytes);  // miss path serves the bytes insert() wrote.
 
-  const std::uint64_t cache_lookups_before = cache.stats().lookups;
+  const ScheduleCacheStats before = cache.stats();
   const auto hit = broker.request(topo, fabric, options);
   EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(cache.stats().lookups, cache_lookups_before);  // hot tier only.
-  EXPECT_EQ(std::string(hit.view.envelope), std::string(miss.view.envelope));
+  const ScheduleCacheStats after = cache.stats();
+  EXPECT_EQ(after.memory_hits, before.memory_hits + 1);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);  // no disk traffic.
+  EXPECT_EQ(hit.view.bytes, miss.view.bytes);    // the same heap envelope.
 }
 
 TEST(ScheduleBroker, ColdBrokerServesMmapViewFromDiskTier) {
@@ -333,7 +372,8 @@ TEST(AdmissionQueue, ServesHitsAndRejectsMissesWhenQueueFull) {
 }
 
 TEST(AdmissionQueue, ExpiredDeadlineIsShedNotFailed) {
-  service::ScheduleBroker broker(nullptr, nullptr);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admit(&broker);
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -345,7 +385,8 @@ TEST(AdmissionQueue, ExpiredDeadlineIsShedNotFailed) {
 }
 
 TEST(AdmissionQueue, UnmeetableDeadlineIsShedUpfrontViaEwma) {
-  service::ScheduleBroker broker(nullptr, nullptr);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admit(&broker);
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -403,8 +444,7 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(2);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
   service::ServerOptions server_options;
   server_options.port = 0;
@@ -482,7 +522,8 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
 }
 
 TEST(ScheduleServer, DeadlineQueryIsHonored) {
-  service::ScheduleBroker broker(nullptr, nullptr);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
   service::ServerOptions server_options;
   server_options.port = 0;
