@@ -3,13 +3,14 @@
 //   2. exact-LP master vs FPTAS master at several epsilons;
 //   3. pMCF candidate sets: link-disjoint vs shortest;
 //   4. unroller slots-per-link (schedule depth vs step weight);
-//   5. simplex refactorization interval.
+//   5. Forrest-Tomlin update limit between refactorizations.
 #include "bench_util.hpp"
 
 #include "lp/simplex.hpp"
 #include "schedule/rounds.hpp"
 #include "mcf/fleischer.hpp"
 #include "mcf/path_mcf.hpp"
+#include "obs/metrics.hpp"
 
 using namespace a2a;
 using namespace a2a::bench;
@@ -118,21 +119,25 @@ int main() {
     t.print(std::cout);
   }
 
-  std::cout << "\n=== Ablation 5: simplex refactorization interval "
-               "(GenKautz 10 d=3, full MCF) ===\n\n";
+  std::cout << "\n=== Ablation 5: Forrest-Tomlin update limit between "
+               "refactorizations (GenKautz 10 d=3, full MCF) ===\n\n";
   {
-    Table t({"interval", "seconds", "iterations"});
+    Table t({"ft_update_limit", "seconds", "iterations", "refactorizations"});
     const DiGraph g = make_generalized_kautz(10, 3);
-    for (const int interval : {500, 4000}) {
+    obs::Counter& refactorizations =
+        obs::MetricsRegistry::global().counter("lp.refactorizations");
+    for (const int limit : {32, 192}) {
       SimplexOptions lp;
-      lp.refactor_interval = interval;
+      lp.ft_update_limit = limit;
       LinkFlowSolution sol;
+      const std::uint64_t before = refactorizations.value();
       const double secs =
           timed([&] { sol = solve_link_mcf_exact(g, all_nodes(g), lp); });
       t.row()
-          .cell(static_cast<long long>(interval))
+          .cell(static_cast<long long>(limit))
           .cell(secs, 3)
-          .cell(sol.lp_iterations);
+          .cell(sol.lp_iterations)
+          .cell(static_cast<long long>(refactorizations.value() - before));
     }
     t.print(std::cout);
   }

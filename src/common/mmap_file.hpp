@@ -16,8 +16,9 @@ namespace a2a {
 class MmapFile {
  public:
   MmapFile() = default;
-  /// Maps `path` read-only. Throws InvalidArgument when the file cannot be
-  /// opened, stat'ed or mapped. Empty files map to an empty view.
+  /// Maps `path` read-only. Throws std::system_error carrying errno when
+  /// the file cannot be opened, stat'ed or mapped. Empty files map to an
+  /// empty view.
   explicit MmapFile(const std::string& path);
   ~MmapFile();
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -110,10 +111,13 @@ void ThreadPool::parallel_for(std::size_t count,
     std::unique_lock lock(state->done_mutex);
     state->done_cv.wait(lock, [&] { return state->done; });
   }
+  // Move the exception out rather than copy it: a worker may still be
+  // destroying the last copy of `state`, and only the caller's thread may
+  // then own the exception object.
   std::exception_ptr error;
   {
     std::lock_guard lock(state->error_mutex);
-    error = state->error;
+    error = std::exchange(state->error, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }

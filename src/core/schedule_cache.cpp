@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <unordered_set>
 #include <vector>
 
@@ -164,13 +165,16 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
   feed_i64(buf, options.mcf.exact_master_limit);
   feed_double(buf, options.mcf.fptas_epsilon);
   feed_i64(buf, options.mcf.lp.max_iterations);
-  feed_i64(buf, options.mcf.lp.refactor_interval);
-  feed_double(buf, options.mcf.lp.feasibility_tol);
-  feed_double(buf, options.mcf.lp.optimality_tol);
-  feed_double(buf, options.mcf.lp.pivot_tol);
-  feed_i64(buf, options.mcf.lp.stall_limit);
+  // Once SimplexOptions::refactor_interval, read only by the dense reference
+  // solver the pipeline never runs; its value stays in the hash so stored
+  // fingerprints stay valid.
+  feed_i64(buf, 4000);
+  feed_double(buf, kLpFeasibilityTol);
+  feed_double(buf, kLpOptimalityTol);
+  feed_double(buf, kLpPivotTol);
+  feed_i64(buf, kLpStallLimit);
   feed_double(buf, options.mcf.fptas.epsilon);
-  feed_i64(buf, options.mcf.fptas.max_phases);
+  feed_i64(buf, kFleischerMaxPhases);
   // options.mcf.threads intentionally excluded: it changes wall time only.
   feed_i64(buf, options.chunking.max_denominator);
   feed_double(buf, options.chunking.min_fraction);
@@ -471,6 +475,19 @@ std::optional<ArtifactView> ScheduleCache::find(const std::string& fingerprint,
         span.annotate("disk hit");
         insert_memory_locked(fingerprint, view, *key);
         return view;
+      } catch (const std::system_error& e) {
+        // The object could not be opened or mapped, which says nothing
+        // about its bytes. A missing file is a dangling ref (the object was
+        // GC'ed, perhaps by another process, between resolve and mmap):
+        // drop the ref. Any other errno is a resource shortage (descriptors,
+        // address space, vm.max_map_count): keep the ref and miss.
+        if (e.code() == std::errc::no_such_file_or_directory) {
+          std::error_code ec;
+          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+          span.annotate("dangling ref");
+        } else {
+          span.annotate("artifact unavailable");
+        }
       } catch (const std::exception&) {
         std::error_code ec;
         if (!fs::exists(path, ec)) {

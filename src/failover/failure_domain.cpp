@@ -165,12 +165,10 @@ double residual_gap(const DiGraph& g, const std::vector<EdgeId>& dead,
 std::vector<FailureSignature> enumerate_failure_domain(
     const DiGraph& g, const FailureDomainOptions& options) {
   std::vector<FailureSignature> domain;
-  if (options.single_links) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      FailureSignature sig;
-      sig.edges.push_back(e);
-      domain.push_back(std::move(sig));
-    }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    FailureSignature sig;
+    sig.edges.push_back(e);
+    domain.push_back(std::move(sig));
   }
   if (options.single_nodes) {
     for (NodeId n = 0; n < g.num_nodes(); ++n) {

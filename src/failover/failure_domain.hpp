@@ -46,8 +46,9 @@ struct FailureSignature {
 [[nodiscard]] bool operator==(const FailureSignature& a,
                               const FailureSignature& b);
 
+/// Options of enumerate_failure_domain(). Every N-1 link failure is always
+/// enumerated.
 struct FailureDomainOptions {
-  bool single_links = true;   ///< every N-1 link failure.
   bool single_nodes = true;   ///< every N-1 node failure.
   /// Link *pairs* to keep, ranked by spectral criticality. 0 disables the
   /// N-2 tier (the full pair set is O(E^2) — enumerating it all is the

@@ -21,6 +21,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Memory budget of the fallback library's in-memory tier.
+constexpr std::size_t kLibraryMemoryBytes = 64ULL << 20;
+/// Online deadline when the caller passes none.
+constexpr double kDefaultDeadlineS = 0.25;
+/// Fraction of the remaining budget rung 2 (exact re-solve) may burn;
+/// the rest is held back so rungs 3-4 plus validation still fit.
+constexpr double kExactBudgetFraction = 0.6;
+/// Fraction of the remaining budget rung 3 (FPTAS) may burn.
+constexpr double kFptasBudgetFraction = 0.8;
+/// FPTAS ε of the healthy baseline when FailoverOptions::exact_healthy is
+/// false.
+constexpr double kHealthyEpsilon = 0.02;
+/// Weight below which a healthy route is considered absent when the
+/// degraded reroute renormalizes (matches the LP's zero clamp).
+constexpr double kMinRouteWeight = 1e-9;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -95,7 +111,7 @@ FailoverManager::FailoverManager(DiGraph healthy, Fabric fabric,
     // FPTAS baseline: no basis to warm from, but ctor cost stays bounded at
     // fabric sizes where the exact master LP is minutes.
     FleischerOptions fo;
-    fo.epsilon = options_.healthy_epsilon;
+    fo.epsilon = kHealthyEpsilon;
     const PathFlowSolution sol = fleischer_paths(healthy_, healthy_paths_, fo);
     weights = sol.weights;
     flow = sol.concurrent_flow;
@@ -111,7 +127,7 @@ FailoverManager::FailoverManager(DiGraph healthy, Fabric fabric,
   base_fingerprint_ = schedule_fingerprint(healthy_, fabric_, ToolchainOptions{});
 
   ScheduleCacheOptions cache;
-  cache.max_memory_bytes = options_.cache_memory_bytes;
+  cache.max_memory_bytes = kLibraryMemoryBytes;
   cache.disk_dir = options_.library_dir;
   library_ = std::make_unique<ScheduleCache>(cache);
   library_->insert(failover_fingerprint(base_fingerprint_, FailureSignature{}),
@@ -196,7 +212,7 @@ bool FailoverManager::finish_result(const DegradedView& view,
       if (w < 0.0 || !std::isfinite(w)) w = 0.0;
       total += w;
     }
-    if (total <= options_.min_route_weight) {
+    if (total <= kMinRouteWeight) {
       std::size_t best = 0;
       for (std::size_t p = 1; p < view.paths.candidates[k].size(); ++p) {
         if (view.paths.candidates[k][p].size() <
@@ -238,8 +254,7 @@ bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
     // Link-only failure: the collapsed model has the healthy model's exact
     // shape, so the healthy optimal basis is dual feasible under the
     // capacity perturbation — re-solve dual-warm in a few pivots.
-    const DiGraph collapsed =
-        collapsed_topology(healthy_, view.sig, options_.collapsed_capacity);
+    const DiGraph collapsed = collapsed_topology(healthy_, view.sig);
     LpBasis basis = healthy_basis_;
     const PathMcfSolution sol = solve_path_mcf_budgeted(
         collapsed, healthy_paths_, lp, &basis, LpWarmMode::kDual);
@@ -275,7 +290,7 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
   A2A_COUNTER("failover.reschedules").inc();
   const auto start = Clock::now();
   const double deadline =
-      deadline_s > 0.0 ? deadline_s : options_.default_deadline_s;
+      deadline_s > 0.0 ? deadline_s : kDefaultDeadlineS;
 
   FailoverResult result;
   result.signature = sig;
@@ -337,7 +352,7 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
   // Rung 2 — deadline-bounded exact re-solve.
   {
     const double budget =
-        (deadline - seconds_since(start)) * options_.exact_budget_fraction;
+        (deadline - seconds_since(start)) * kExactBudgetFraction;
     if (budget > 1e-4 && exact_resolve(view, budget, result)) {
       library_->insert(fp, result.schedule);
       A2A_COUNTER("failover.exact").inc();
@@ -352,7 +367,7 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
     if (remaining > 1e-4) {
       FleischerOptions fo;
       fo.epsilon = epsilon_for_budget(remaining);
-      fo.time_limit_s = remaining * options_.fptas_budget_fraction;
+      fo.time_limit_s = remaining * kFptasBudgetFraction;
       try {
         const PathFlowSolution sol =
             fleischer_paths(view.degraded, view.paths, fo);
@@ -385,7 +400,7 @@ PrecomputeReport FailoverManager::precompute(
   report.attempted = domain.size();
   std::atomic<std::size_t> stored{0}, skipped{0}, failed{0};
 
-  ThreadPool pool(options_.threads);
+  ThreadPool pool;
   pool.parallel_for(domain.size(), [&](std::size_t i) {
     FailureSignature sig = domain[i];
     sig.normalize();

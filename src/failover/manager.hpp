@@ -55,32 +55,16 @@ enum class FailoverRung {
 struct FailoverOptions {
   /// Directory of the fallback library's disk tier ("" = in-memory only).
   std::string library_dir;
-  std::size_t cache_memory_bytes = 64ULL << 20;
   /// Budget per signature during offline precompute — generous, this is
   /// the half that is allowed to be slow.
   double precompute_deadline_s = 30.0;
-  /// Default online deadline when the caller passes none.
-  double default_deadline_s = 0.25;
-  /// Fraction of the remaining budget rung 2 (exact re-solve) may burn;
-  /// the rest is held back so rungs 3-4 plus validation still fit.
-  double exact_budget_fraction = 0.6;
-  /// Fraction of the remaining budget rung 3 (FPTAS) may burn.
-  double fptas_budget_fraction = 0.8;
-  /// Capacity assigned to failed edges in the LP-shape-preserving view.
-  double collapsed_capacity = 1e-7;
   /// Solve the healthy baseline with the exact pMCF LP (keeps the optimal
   /// basis for dual-warm online re-solves). false switches the baseline to
-  /// the FPTAS at `healthy_epsilon` — the right trade at fabric sizes
-  /// where the exact master LP is minutes (Fig. 9's N=81): rung 2 then
-  /// re-solves cold within its budget instead of dual-warm.
+  /// the FPTAS at ε = 0.02 — the right trade at fabric sizes where the
+  /// exact master LP is minutes (Fig. 9's N=81): rung 2 then re-solves cold
+  /// within its budget instead of dual-warm.
   bool exact_healthy = true;
-  double healthy_epsilon = 0.02;
-  /// Weight below which a healthy route is considered absent when the
-  /// degraded reroute renormalizes (matches the LP's zero clamp).
-  double min_route_weight = 1e-9;
   ChunkingOptions chunking{.max_denominator = 24, .min_fraction = 1e-3};
-  /// Threads for precompute() (0 = hardware concurrency).
-  unsigned threads = 0;
   FailureDomainOptions domain;
   SimplexOptions lp;
 };
@@ -137,7 +121,7 @@ class FailoverManager {
   PrecomputeReport precompute(const std::vector<FailureSignature>& domain);
 
   /// The online entry point: best valid schedule for the degraded fabric
-  /// within `deadline_s` (<= 0 uses options.default_deadline_s). The
+  /// within `deadline_s` (<= 0 uses a 0.25 s default). The
   /// deadline may be overshot by at most the final validation pass (the
   /// contract bench_failover enforces).
   [[nodiscard]] FailoverResult reschedule(const FailureSignature& sig,

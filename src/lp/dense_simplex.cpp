@@ -18,6 +18,10 @@ namespace {
 
 enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 
+/// Pivots between LU refactorizations (dense solver: product-form updates
+/// of the explicit inverse, refactorize rarely; flow bases stay accurate).
+constexpr int kRefactorInterval = 4000;
+
 /// Internal solver working on the standard form
 ///   min c'x  s.t.  A x = b,  lo <= x <= up
 /// where x = [structurals | slacks | artificials]. Rows of type >= are
@@ -273,7 +277,7 @@ class DenseSimplex {
       btran(y);
       // Pricing.
       std::size_t entering = SIZE_MAX;
-      double best_violation = options_.optimality_tol;
+      double best_violation = kLpOptimalityTol;
       int direction = +1;
       for (std::size_t j = 0; j < num_vars(); ++j) {
         const VarState st = state_[j];
@@ -298,11 +302,11 @@ class DenseSimplex {
           best_violation = d;
           entering = j;
           direction = -1;
-        } else if (bland && st == VarState::kAtLower && d < -options_.optimality_tol) {
+        } else if (bland && st == VarState::kAtLower && d < -kLpOptimalityTol) {
           entering = j;
           direction = +1;
           break;
-        } else if (bland && st == VarState::kAtUpper && d > options_.optimality_tol) {
+        } else if (bland && st == VarState::kAtUpper && d > kLpOptimalityTol) {
           entering = j;
           direction = -1;
           break;
@@ -319,7 +323,7 @@ class DenseSimplex {
       for (std::size_t i = 0; i < m_; ++i) {
         const double wi = dir * w[i];
         const std::size_t bj = static_cast<std::size_t>(basic_[i]);
-        if (wi > options_.pivot_tol) {
+        if (wi > kLpPivotTol) {
           const double t = (x_basic_[i] - lo_[bj]) / wi;
           if (t < limit - 1e-12 ||
               (t < limit + 1e-12 && leaving_row != SIZE_MAX &&
@@ -328,7 +332,7 @@ class DenseSimplex {
             leaving_row = i;
             leaving_to_upper = false;
           }
-        } else if (wi < -options_.pivot_tol && up_[bj] < kInfinity) {
+        } else if (wi < -kLpPivotTol && up_[bj] < kInfinity) {
           const double t = (up_[bj] - x_basic_[i]) / (-wi);
           if (t < limit - 1e-12 ||
               (t < limit + 1e-12 && leaving_row != SIZE_MAX &&
@@ -359,7 +363,7 @@ class DenseSimplex {
         state_[entering] = VarState::kBasic;
         x_basic_[leaving_row] = enter_value;
         pivot_update(leaving_row, w);
-        if (++since_refactor >= options_.refactor_interval) {
+        if (++since_refactor >= kRefactorInterval) {
           refactorize();
           since_refactor = 0;
         }
@@ -369,7 +373,7 @@ class DenseSimplex {
       if (limit > 1e-10) {
         stall = 0;
         bland = false;
-      } else if (++stall > options_.stall_limit) {
+      } else if (++stall > kLpStallLimit) {
         bland = true;
       }
     }

@@ -14,14 +14,13 @@ double scaled(double tol, double bound) {
 
 }  // namespace
 
-Presolve::Result Presolve::run(const LpModel& model,
-                               const SimplexOptions& options) {
+Presolve::Result Presolve::run(const LpModel& model) {
   const int nv = model.num_variables();
   const int m = model.num_rows();
   orig_vars_ = nv;
   orig_rows_ = m;
   stats_ = {};
-  const double ftol = options.feasibility_tol;
+  const double ftol = kLpFeasibilityTol;
 
   std::vector<double> lo(static_cast<std::size_t>(nv));
   std::vector<double> up(static_cast<std::size_t>(nv));

@@ -60,7 +60,7 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
       finish(out, model, start);
       return out;
     }
-    if (phase_objective() > options_.phase1_tol) {
+    if (phase_objective() > kLpPhase1Tol) {
       out.status = LpStatus::kInfeasible;
       finish(out, model, start);
       return out;
@@ -88,7 +88,7 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
 /// streak switches pricing to Bland's rule (lowest eligible index) to break
 /// the cycle instead of abandoning the warm basis outright.
 bool SimplexCore::restore_feasibility() {
-  const double ftol = 16.0 * options_.feasibility_tol;
+  const double ftol = 16.0 * kLpFeasibilityTol;
   std::vector<double> y(static_cast<std::size_t>(m_));
   std::vector<double> alpha(static_cast<std::size_t>(m_));
   const long long budget = 2000 + 2LL * m_;
@@ -123,7 +123,7 @@ bool SimplexCore::restore_feasibility() {
     // of magnitude, which cannot cycle.
     int entering = -1;
     int direction = +1;
-    double best = options_.optimality_tol;
+    double best = kLpOptimalityTol;
     for (int j = 0; j < num_vars(); ++j) {
       if (state_[j] == VarState::kBasic) continue;
       if (fixed(j)) continue;
@@ -156,7 +156,7 @@ bool SimplexCore::restore_feasibility() {
     bool leaving_to_upper = false;
     for (int i = 0; i < m_; ++i) {
       const double wi = dir * alpha[i];
-      if (std::abs(wi) <= options_.pivot_tol) continue;
+      if (std::abs(wi) <= kLpPivotTol) continue;
       const int bj = basic_[static_cast<std::size_t>(i)];
       const double xi = x_basic_[i];
       double t = -1.0;
@@ -187,11 +187,11 @@ bool SimplexCore::restore_feasibility() {
       }
     }
     if (!std::isfinite(limit)) return false;
-    if (limit <= options_.drop_tol) {
+    if (limit <= kLpDropTol) {
       // A degenerate streak used to abort restoration here (surfacing as a
       // spurious solve failure); switching to Bland's rule breaks the cycle
       // and lets the repair finish. The pivot budget remains the backstop.
-      if (++degenerate_streak > options_.degenerate_streak_limit) {
+      if (++degenerate_streak > kLpDegenerateStreakLimit) {
         if (!bland) ++stats_.bland_episodes;
         bland = true;
       }
@@ -211,7 +211,7 @@ bool SimplexCore::restore_feasibility() {
       continue;
     }
     const double alpha_r = alpha[static_cast<std::size_t>(leaving_row)];
-    if (std::abs(alpha_r) < options_.pivot_tol) return false;
+    if (std::abs(alpha_r) < kLpPivotTol) return false;
     const int leaving = basic_[static_cast<std::size_t>(leaving_row)];
     state_[static_cast<std::size_t>(leaving)] =
         leaving_to_upper ? VarState::kAtUpper : VarState::kAtLower;
@@ -226,7 +226,7 @@ bool SimplexCore::restore_feasibility() {
     state_[static_cast<std::size_t>(entering)] = VarState::kBasic;
     x_basic_[static_cast<std::size_t>(leaving_row)] = enter_value;
     if (update_factors(leaving_row, alpha) ||
-        std::abs(alpha_r) < options_.refactor_pivot_tol) {
+        std::abs(alpha_r) < kLpRefactorPivotTol) {
       refactorize();
     }
   }
@@ -264,7 +264,7 @@ LpStatus SimplexCore::iterate_primal() {
       if (fixed(j)) return;
       const double dj = d_[static_cast<std::size_t>(j)];
       const double viol = st == VarState::kAtLower ? -dj : dj;
-      if (viol <= options_.optimality_tol) return;
+      if (viol <= kLpOptimalityTol) return;
       const double score = viol * viol / weight_[static_cast<std::size_t>(j)];
       if (score > best_score) {
         best_score = score;
@@ -278,7 +278,7 @@ LpStatus SimplexCore::iterate_primal() {
         if (st == VarState::kBasic || fixed(j)) continue;
         const double dj = d_[static_cast<std::size_t>(j)];
         const double viol = st == VarState::kAtLower ? -dj : dj;
-        if (viol <= options_.optimality_tol) continue;
+        if (viol <= kLpOptimalityTol) continue;
         entering = j;
         direction = st == VarState::kAtLower ? +1 : -1;
         break;
@@ -315,7 +315,7 @@ LpStatus SimplexCore::iterate_primal() {
       if (cb != 0.0) d_exact -= cb * alpha[i];
     }
     const double viol_exact = direction > 0 ? -d_exact : d_exact;
-    if (viol_exact <= options_.optimality_tol * 0.5) {
+    if (viol_exact <= kLpOptimalityTol * 0.5) {
       // Stale candidate: correct it and re-price. Counts against the
       // iteration budget — under severe ill-conditioning the maintained
       // and exact reduced costs can keep disagreeing, and this loop must
@@ -348,17 +348,17 @@ LpStatus SimplexCore::iterate_primal() {
     int leaving_row = -1;
     bool leaving_to_upper = false;
     if (options_.harris_ratio && !bland) {
-      const double ftol = options_.feasibility_tol;
+      const double ftol = kLpFeasibilityTol;
       double theta_rel = limit;
       for (int i = 0; i < m_; ++i) {
         const double wi = dir * alpha[i];
         const int bj = basic_[i];
-        if (wi > options_.pivot_tol) {
+        if (wi > kLpPivotTol) {
           const double lob = lo_[static_cast<std::size_t>(bj)];
           const double t =
               (x_basic_[i] - lob + ftol * std::max(1.0, std::abs(lob))) / wi;
           theta_rel = std::min(theta_rel, t);
-        } else if (wi < -options_.pivot_tol &&
+        } else if (wi < -kLpPivotTol &&
                    up_[static_cast<std::size_t>(bj)] < kInfinity) {
           const double upb = up_[static_cast<std::size_t>(bj)];
           const double t =
@@ -375,10 +375,10 @@ LpStatus SimplexCore::iterate_primal() {
           const int bj = basic_[i];
           double t;
           bool to_upper;
-          if (wi > options_.pivot_tol) {
+          if (wi > kLpPivotTol) {
             t = (x_basic_[i] - lo_[static_cast<std::size_t>(bj)]) / wi;
             to_upper = false;
-          } else if (wi < -options_.pivot_tol &&
+          } else if (wi < -kLpPivotTol &&
                      up_[static_cast<std::size_t>(bj)] < kInfinity) {
             t = (up_[static_cast<std::size_t>(bj)] - x_basic_[i]) / (-wi);
             to_upper = true;
@@ -387,8 +387,8 @@ LpStatus SimplexCore::iterate_primal() {
           }
           if (t > theta_rel) continue;
           const double piv = std::abs(wi);
-          if (leaving_row >= 0 && piv < best_piv - options_.drop_tol) continue;
-          if (leaving_row >= 0 && piv <= best_piv + options_.drop_tol &&
+          if (leaving_row >= 0 && piv < best_piv - kLpDropTol) continue;
+          if (leaving_row >= 0 && piv <= best_piv + kLpDropTol &&
               basic_[i] >= basic_[static_cast<std::size_t>(leaving_row)]) {
             continue;
           }
@@ -404,27 +404,27 @@ LpStatus SimplexCore::iterate_primal() {
       }
     } else {
       const auto prefer = [&](double t, double wi, int i) {
-        if (t < limit - options_.drop_tol) return true;
-        if (t >= limit + options_.drop_tol || leaving_row < 0) return false;
+        if (t < limit - kLpDropTol) return true;
+        if (t >= limit + kLpDropTol || leaving_row < 0) return false;
         const double w_cur =
             std::abs(dir * alpha[static_cast<std::size_t>(leaving_row)]);
         const double w_new = std::abs(wi);
-        if (w_new > w_cur + options_.drop_tol) return true;
-        if (w_new < w_cur - options_.drop_tol) return false;
+        if (w_new > w_cur + kLpDropTol) return true;
+        if (w_new < w_cur - kLpDropTol) return false;
         return basic_[static_cast<std::size_t>(i)] <
                basic_[static_cast<std::size_t>(leaving_row)];
       };
       for (int i = 0; i < m_; ++i) {
         const double wi = dir * alpha[i];
         const int bj = basic_[i];
-        if (wi > options_.pivot_tol) {
+        if (wi > kLpPivotTol) {
           const double t = (x_basic_[i] - lo_[static_cast<std::size_t>(bj)]) / wi;
           if (prefer(t, wi, i)) {
             limit = std::max(t, 0.0);
             leaving_row = i;
             leaving_to_upper = false;
           }
-        } else if (wi < -options_.pivot_tol && up_[static_cast<std::size_t>(bj)] < kInfinity) {
+        } else if (wi < -kLpPivotTol && up_[static_cast<std::size_t>(bj)] < kInfinity) {
           const double t = (up_[static_cast<std::size_t>(bj)] - x_basic_[i]) / (-wi);
           if (prefer(t, wi, i)) {
             limit = std::max(t, 0.0);
@@ -491,7 +491,7 @@ LpStatus SimplexCore::iterate_primal() {
         weight_.assign(static_cast<std::size_t>(num_vars()), 1.0);
       }
       if (update_factors(leaving_row, alpha) ||
-          std::abs(alpha_r) < options_.refactor_pivot_tol) {
+          std::abs(alpha_r) < kLpRefactorPivotTol) {
         refactorize();
       }
     }
@@ -500,7 +500,7 @@ LpStatus SimplexCore::iterate_primal() {
     if (limit > 1e-10) {
       stall = 0;
       bland = false;
-    } else if (++stall > options_.stall_limit) {
+    } else if (++stall > kLpStallLimit) {
       if (!bland) ++stats_.bland_episodes;
       bland = true;
     }
@@ -633,7 +633,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
   if (options.presolve) {
     const auto start = std::chrono::steady_clock::now();
     Presolve pre;
-    const Presolve::Result res = pre.run(model, options);
+    const Presolve::Result res = pre.run(model);
     if (res != Presolve::Result::kUnchanged) {
       LpSolution out;
       switch (res) {

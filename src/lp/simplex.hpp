@@ -151,9 +151,6 @@ struct SimplexOptions {
   /// allowance, so a deadline-bounded caller overshoots by at most one
   /// check interval plus one refactorization.
   double time_limit_s = 0.0;
-  /// Pivots between LU refactorizations (dense solver: product-form updates
-  /// of the explicit inverse, refactorize rarely; flow bases stay accurate).
-  int refactor_interval = 4000;
   /// Sparse solver: how the basis factors follow the pivots (see
   /// LpBasisUpdate).
   LpBasisUpdate basis_update = LpBasisUpdate::kForrestTomlin;
@@ -194,30 +191,35 @@ struct SimplexOptions {
   /// and stops at the first section containing an attractive candidate,
   /// instead of pricing all 50k pMCF columns every pivot. 0 disables.
   int partial_pricing_threshold = 4096;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  double pivot_tol = 1e-9;
-  int stall_limit = 8000;          ///< non-improving pivots before Bland.
-  /// Phase-1 objective above this at phase-1 optimality means infeasible.
-  double phase1_tol = 1e-6;
-  /// Magnitudes below this are treated as exact zeros: entries dropped from
-  /// eta vectors, pivot-row scan cutoffs, and the degenerate-step threshold.
-  /// Shared by the primal and dual ratio tests.
-  double drop_tol = 1e-12;
-  /// A pivot magnitude below this forces an immediate refactorization after
-  /// the pivot is applied (the eta vector it would leave behind is too
-  /// ill-conditioned to keep).
-  double refactor_pivot_tol = 1e-8;
-  /// Degenerate (zero-step) pivots in a row before the restoration and dual
-  /// loops switch to Bland's rule to break the cycle.
-  int degenerate_streak_limit = 64;
-  /// Relative cost perturbation the dual simplex applies to nonbasic
-  /// columns (in their dual-feasible direction) before iterating, so that
-  /// totally dual-degenerate warm bases — the norm for max-concurrent-flow
-  /// optima — still make strict progress. Removed before the solution is
-  /// reported; the primal polishes the residue.
-  double dual_perturb = 1e-5;
 };
+
+// Fixed tolerances and limits of the simplex engines. schedule_fingerprint()
+// feeds the first four, so changing one of them re-keys every cached
+// schedule.
+inline constexpr double kLpFeasibilityTol = 1e-7;
+inline constexpr double kLpOptimalityTol = 1e-7;
+inline constexpr double kLpPivotTol = 1e-9;
+/// Non-improving pivots before Bland.
+inline constexpr int kLpStallLimit = 8000;
+/// Phase-1 objective above this at phase-1 optimality means infeasible.
+inline constexpr double kLpPhase1Tol = 1e-6;
+/// Magnitudes below this are treated as exact zeros: entries dropped from
+/// eta vectors, pivot-row scan cutoffs, and the degenerate-step threshold.
+/// Shared by the primal and dual ratio tests.
+inline constexpr double kLpDropTol = 1e-12;
+/// A pivot magnitude below this forces an immediate refactorization after
+/// the pivot is applied (the eta vector it would leave behind is too
+/// ill-conditioned to keep).
+inline constexpr double kLpRefactorPivotTol = 1e-8;
+/// Degenerate (zero-step) pivots in a row before the restoration and dual
+/// loops switch to Bland's rule to break the cycle.
+inline constexpr int kLpDegenerateStreakLimit = 64;
+/// Relative cost perturbation the dual simplex applies to nonbasic
+/// columns (in their dual-feasible direction) before iterating, so that
+/// totally dual-degenerate warm bases — the norm for max-concurrent-flow
+/// optima — still make strict progress. Removed before the solution is
+/// reported; the primal polishes the residue.
+inline constexpr double kLpDualPerturb = 1e-5;
 
 /// How solve_lp() exploits a supplied warm-start basis.
 ///

@@ -134,7 +134,7 @@ bool SimplexCore::try_warm_start(const LpBasis& warm) {
     }
   }
   lu_.ftran(residual, lu_scratch_);
-  const double tol = 16.0 * options_.feasibility_tol;
+  const double tol = 16.0 * kLpFeasibilityTol;
   bool feasible = true;
   for (int i = 0; i < m_; ++i) {
     const int j = basic[static_cast<std::size_t>(i)];
@@ -231,7 +231,7 @@ bool SimplexCore::dual_feasible() const {
   // when only rhs/bounds moved; a generous multiple of the optimality
   // tolerance absorbs recomputation round-off without letting a genuinely
   // dual-infeasible basis through.
-  const double tol = 16.0 * options_.optimality_tol;
+  const double tol = 16.0 * kLpOptimalityTol;
   for (int j = 0; j < num_vars(); ++j) {
     if (state_[j] == VarState::kBasic || fixed(j)) continue;
     if (state_[j] == VarState::kAtLower && d_[j] < -tol) return false;
@@ -289,7 +289,7 @@ void SimplexCore::compute_pivot_row(int row, std::vector<double>& rho,
   touched.clear();
   for (int i = 0; i < m_; ++i) {
     const double ri = rho[i];
-    if (std::abs(ri) < options_.drop_tol) continue;
+    if (std::abs(ri) < kLpDropTol) continue;
     for (int k = csr_.row_begin(i); k < csr_.row_end(i); ++k) {
       const int j = csr_.entry_col(k);
       if (accum[static_cast<std::size_t>(j)] == 0.0) touched.push_back(j);
@@ -302,7 +302,7 @@ bool SimplexCore::update_factors(int row, const std::vector<double>& alpha) {
   if (use_ft_) {
     // ft_spike_ was captured by the compute_column(entering) of this very
     // pivot; no solves have touched it since.
-    if (!lu_.update(row, ft_spike_, options_.ft_diag_tol, options_.drop_tol)) {
+    if (!lu_.update(row, ft_spike_, options_.ft_diag_tol, kLpDropTol)) {
       ++stats_.ft_refusals;
       return true;  // unstable transformed diagonal: refactorize
     }
@@ -322,7 +322,7 @@ void SimplexCore::append_eta(int row, const std::vector<double>& alpha) {
   for (int i = 0; i < m_; ++i) {
     if (i == row) continue;
     const double v = alpha[static_cast<std::size_t>(i)];
-    if (std::abs(v) > options_.drop_tol) {
+    if (std::abs(v) > kLpDropTol) {
       eta_pos_.push_back(i);
       eta_val_.push_back(v);
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "collectives/demand.hpp"
 #include "graph/algorithms.hpp"
 
 namespace a2a {
@@ -30,51 +29,6 @@ double alltoall_time_lower_bound(const DiGraph& g) {
 
 double concurrent_flow_upper_bound(const DiGraph& g) {
   return 1.0 / alltoall_time_lower_bound(g);
-}
-
-double collective_time_lower_bound(const DiGraph& g,
-                                   const std::vector<NodeId>& terminals,
-                                   const DemandMatrix& demand) {
-  const int S = static_cast<int>(terminals.size());
-  A2A_REQUIRE(S >= 2, "bound needs >= 2 terminals");
-  A2A_REQUIRE(demand.num_terminals() == S,
-              "demand matrix size does not match terminal count");
-  double total_capacity = 0.0;
-  for (const Edge& e : g.edges()) total_capacity += e.capacity;
-  A2A_REQUIRE(total_capacity > 0.0, "graph has no capacity");
-
-  double weighted_distance = 0.0;
-  for (int si = 0; si < S; ++si) {
-    if (demand.row_sum(si) <= 0.0) continue;
-    const auto dist = bfs_distances(g, terminals[static_cast<std::size_t>(si)]);
-    for (int di = 0; di < S; ++di) {
-      const double w = demand.at(si, di);
-      if (w <= 0.0) continue;
-      const int d =
-          dist[static_cast<std::size_t>(terminals[static_cast<std::size_t>(di)])];
-      A2A_REQUIRE(d != kUnreachable, "terminal unreachable for demand pair");
-      weighted_distance += w * static_cast<double>(d);
-    }
-  }
-  double bound = weighted_distance / total_capacity;
-
-  for (int si = 0; si < S; ++si) {
-    const NodeId u = terminals[static_cast<std::size_t>(si)];
-    double out_cap = 0.0, in_cap = 0.0;
-    for (const EdgeId e : g.out_edges(u)) out_cap += g.edge(e).capacity;
-    for (const EdgeId e : g.in_edges(u)) in_cap += g.edge(e).capacity;
-    const double row = demand.row_sum(si);
-    const double col = demand.col_sum(si);
-    if (row > 0.0) {
-      A2A_REQUIRE(out_cap > 0.0, "terminal ", u, " has demand but no out capacity");
-      bound = std::max(bound, row / out_cap);
-    }
-    if (col > 0.0) {
-      A2A_REQUIRE(in_cap > 0.0, "terminal ", u, " has demand but no in capacity");
-      bound = std::max(bound, col / in_cap);
-    }
-  }
-  return bound;
 }
 
 double regular_graph_time_bound(int n, int d) {

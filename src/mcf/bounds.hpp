@@ -16,18 +16,6 @@ namespace a2a {
 /// Matching upper bound on the concurrent rate: F <= 1 / time_lower_bound.
 [[nodiscard]] double concurrent_flow_upper_bound(const DiGraph& g);
 
-/// Theorem-1-style lower bound on completion time 1/F for an arbitrary
-/// demand matrix over `terminals` (node ids; demand indices follow terminal
-/// order):
-///   max( Σ_k w_k · dist(s_k, d_k) / Σ_e cap_e ,   — aggregate capacity
-///        max_s rowsum(s) / outcap(s),             — weighted injection
-///        max_d colsum(d) / incap(d) )             — weighted drain
-/// With unit weights over all nodes this equals alltoall_time_lower_bound.
-class DemandMatrix;
-[[nodiscard]] double collective_time_lower_bound(
-    const DiGraph& g, const std::vector<NodeId>& terminals,
-    const DemandMatrix& demand);
-
 /// The Θ(N log_d N) closed form of Theorem 1 for d-regular graphs, i.e. the
 /// distance sum of a complete d-ary arborescence divided by d — the ideal
 /// floor any N-node degree-d topology can approach (Fig. 10 left).

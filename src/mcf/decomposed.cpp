@@ -9,6 +9,14 @@
 
 namespace a2a {
 
+namespace {
+
+/// Warm-start strategy for the exact master and child LPs. kAuto lets a
+/// dual-feasible basis from a prior solve (or the first child) absorb
+/// rhs-only perturbations with the dual simplex instead of restoration.
+constexpr LpWarmMode kWarmMode = LpWarmMode::kAuto;
+
+/// Master stage only (mode-dispatched).
 GroupedFlowSolution solve_master(const DiGraph& g,
                                  const std::vector<NodeId>& terminals,
                                  const DecomposedOptions& options,
@@ -22,12 +30,14 @@ GroupedFlowSolution solve_master(const DiGraph& g,
   }
   if (mode == MasterMode::kExactLp) {
     return solve_master_lp(g, terminals, options.lp, master_warm,
-                           options.warm_mode, demand);
+                           kWarmMode, demand);
   }
   FleischerOptions fo = options.fptas;
   fo.epsilon = options.fptas_epsilon;
   return fleischer_grouped(g, terminals, fo, demand);
 }
+
+}  // namespace
 
 LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
                                       const std::vector<NodeId>& terminals,
@@ -67,7 +77,7 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
   if (options.child == ChildMode::kLp && S > 1 && !silent[0]) {
     const auto flows = solve_child_lp(g, terminals, 0, master.per_source[0], F,
                                       options.lp, &child_seed,
-                                      options.warm_mode, demand);
+                                      kWarmMode, demand);
     for (int di = 1; di < S; ++di) {
       const int pair = pairs.index(0, di);
       out.per_commodity[static_cast<std::size_t>(pair)] =
@@ -100,7 +110,7 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
       LpBasis warm = child_seed;
       const auto flows = solve_child_lp(g, terminals, static_cast<int>(si),
                                         master.per_source[si], F, options.lp,
-                                        &warm, options.warm_mode, demand);
+                                        &warm, kWarmMode, demand);
       for (std::size_t k = 0; k < sinks.size(); ++k) {
         const int di = sink_terminal_index[k];
         const int pair = pairs.index(static_cast<int>(si), di);

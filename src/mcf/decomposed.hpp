@@ -33,10 +33,6 @@ struct DecomposedOptions {
   int exact_master_limit = 56;
   double fptas_epsilon = 0.02;
   SimplexOptions lp;
-  /// Warm-start strategy for the exact master and child LPs. kAuto lets a
-  /// dual-feasible basis from a prior solve (or the first child) absorb
-  /// rhs-only perturbations with the dual simplex instead of restoration.
-  LpWarmMode warm_mode = LpWarmMode::kAuto;
   FleischerOptions fptas;
   /// 0 = hardware concurrency.
   unsigned threads = 0;
@@ -61,12 +57,5 @@ struct DecomposedTiming {
     const DiGraph& g, const std::vector<NodeId>& terminals,
     const DecomposedOptions& options = {}, DecomposedTiming* timing = nullptr,
     LpBasis* master_warm = nullptr, const DemandMatrix* demand = nullptr);
-
-/// Master stage only (mode-dispatched); exposed for Fig. 7's breakdown.
-[[nodiscard]] GroupedFlowSolution solve_master(const DiGraph& g,
-                                               const std::vector<NodeId>& terminals,
-                                               const DecomposedOptions& options = {},
-                                               LpBasis* master_warm = nullptr,
-                                               const DemandMatrix* demand = nullptr);
 
 }  // namespace a2a

@@ -78,7 +78,7 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
   requested.reserve(m);
 
   long long phases = 0;
-  while (dual < 1.0 && phases < options.max_phases) {
+  while (dual < 1.0 && phases < kFleischerMaxPhases) {
     // >= 1 phase always runs: the rescale needs some flow (mu > 0).
     if (phases > 0 && phase_deadline_hit(options, start)) break;
     ++phases;
@@ -194,7 +194,7 @@ PathFlowSolution fleischer_paths(const DiGraph& g, const PathSet& paths,
   A2A_REQUIRE(total_demand > 0.0, "path set carries no demand");
 
   long long phases = 0;
-  while (dual < 1.0 && phases < options.max_phases) {
+  while (dual < 1.0 && phases < kFleischerMaxPhases) {
     // >= 1 phase always runs: the rescale needs some flow (mu > 0).
     if (phases > 0 && phase_deadline_hit(options, start)) break;
     ++phases;

@@ -20,9 +20,11 @@
 
 namespace a2a {
 
+/// Phase cap of the FPTAS loops; schedule_fingerprint() feeds it.
+inline constexpr long long kFleischerMaxPhases = 200'000;
+
 struct FleischerOptions {
   double epsilon = 0.05;       ///< target (1-O(eps)) approximation.
-  long long max_phases = 200'000;
   /// Wall-clock budget in seconds; 0 = unlimited. Checked at phase
   /// boundaries only — the congestion rescale makes the flow accumulated by
   /// *completed* phases feasible, so stopping there keeps the anytime

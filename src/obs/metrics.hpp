@@ -6,9 +6,6 @@
 //   * hot paths pay nothing they can avoid: every update is a relaxed
 //     atomic, and when metrics are runtime-disabled the update degrades to
 //     ONE relaxed atomic load (the shared enabled flag) and a branch;
-//   * a compile-time kill switch: building with -DA2A_OBS=0 compiles every
-//     update to nothing at all, for fleets that want the instrumentation
-//     physically absent (the CI builds this config to keep it honest);
 //   * registration is thread-safe and references are stable forever, so a
 //     call site resolves its metric once (function-local static) and then
 //     updates lock-free;
@@ -26,20 +23,12 @@
 #include <string>
 #include <vector>
 
-#ifndef A2A_OBS
-#define A2A_OBS 1
-#endif
-
 namespace a2a::obs {
 
-/// True when the observability layer was compiled in (A2A_OBS != 0).
-[[nodiscard]] constexpr bool compiled_in() {
-#if A2A_OBS
-  return true;
-#else
-  return false;
-#endif
-}
+/// Always true: the layer is always compiled in. Kept only because the
+/// bench_e2e record stamps it (bench_e2e/main.cpp); delete it together with
+/// that field in the next change to the benchmark.
+[[nodiscard]] constexpr bool compiled_in() { return true; }
 
 namespace detail {
 extern std::atomic<bool> g_metrics_enabled;
@@ -48,11 +37,7 @@ extern std::atomic<bool> g_metrics_enabled;
 /// Runtime master switch (default on). Disabling makes every metric update a
 /// single relaxed load; existing values are retained, not cleared.
 [[nodiscard]] inline bool metrics_enabled() {
-#if A2A_OBS
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 void set_metrics_enabled(bool enabled);
 
@@ -60,12 +45,8 @@ void set_metrics_enabled(bool enabled);
 class Counter {
  public:
   void add(std::uint64_t n) {
-#if A2A_OBS
     if (!metrics_enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   void inc() { add(1); }
   [[nodiscard]] std::uint64_t value() const {
@@ -81,20 +62,12 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) {
-#if A2A_OBS
     if (!metrics_enabled()) return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t n) {
-#if A2A_OBS
     if (!metrics_enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   void sub(std::int64_t n) { add(-n); }
   [[nodiscard]] std::int64_t value() const {
@@ -117,16 +90,12 @@ class Histogram {
   static constexpr int kBuckets = 32;
 
   void observe_ns(std::uint64_t ns) {
-#if A2A_OBS
     if (!metrics_enabled()) return;
     int b = 0;
     while (b + 1 < kBuckets && (ns >> (b + 1)) != 0) ++b;
     buckets_[b].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-#else
-    (void)ns;
-#endif
   }
   void observe_seconds(double seconds) {
     if (seconds < 0.0) seconds = 0.0;

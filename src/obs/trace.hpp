@@ -3,8 +3,7 @@
 // Perfetto).
 //
 // A span is recorded only while a TraceSession is open, so production hot
-// paths pay one relaxed atomic load per span when tracing is off (and
-// nothing at all under -DA2A_OBS=0). Benches and `schedgen --trace` open a
+// paths pay one relaxed atomic load per span when tracing is off. Benches and `schedgen --trace` open a
 // session around a run; the exported timeline shows every pipeline stage
 // (augment / solve / extract / chunk / compile / validate / encode / cache)
 // with thread attribution — decomposed-MCF child LPs appear on their pool
@@ -20,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // A2A_OBS + compiled_in()
+#include "obs/metrics.hpp"
 
 namespace a2a::obs {
 
@@ -30,11 +29,7 @@ extern std::atomic<bool> g_tracing_enabled;
 
 /// True while a TraceSession is open (the span fast-path check).
 [[nodiscard]] inline bool tracing_enabled() {
-#if A2A_OBS
   return trace_detail::g_tracing_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// One recorded span (or instant, dur_ns == 0), timestamps relative to the

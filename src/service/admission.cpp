@@ -69,8 +69,9 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
                       "miss queue full (" + std::to_string(pending_) +
                           " in service)");
       }
-      if (deadline_s > 0.0 && options_.shed_safety > 0.0 &&
-          ewma_synth_seconds_ > options_.shed_safety * deadline_s) {
+      // Shed upfront when recent syntheses average longer than the whole
+      // budget; otherwise the deadline bounds the synthesis itself.
+      if (deadline_s > 0.0 && ewma_synth_seconds_ > deadline_s) {
         A2A_COUNTER("service.shed_deadline").inc();
         return finish(ServiceOutcome::kShedDeadline,
                       "deadline unmeetable: recent syntheses average " +

@@ -28,6 +28,9 @@ namespace {
 
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 constexpr std::size_t kMaxBodyBytes = 1 * 1024 * 1024;
+/// Keep-alive idle timeout in seconds; also bounds how long stop() waits
+/// for a worker parked in recv().
+constexpr long kRecvTimeoutS = 5;
 
 /// Serializes per-request tracing: the process has ONE TraceSession, so the
 /// first trace=1 request in flight gets it and concurrent askers are served
@@ -156,9 +159,7 @@ void ScheduleServer::worker_loop() {
 
 void ScheduleServer::handle_connection(int fd) {
   timeval timeout{};
-  timeout.tv_sec = static_cast<long>(options_.recv_timeout_s);
-  timeout.tv_usec = static_cast<long>(
-      (options_.recv_timeout_s - static_cast<double>(timeout.tv_sec)) * 1e6);
+  timeout.tv_sec = kRecvTimeoutS;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);

@@ -46,9 +46,6 @@ struct ServerOptions {
   unsigned threads = 4;
   /// Directory for per-request Chrome traces ("" disables trace=1).
   std::string trace_dir;
-  /// Keep-alive idle timeout; also bounds how long stop() waits for a
-  /// worker parked in recv().
-  double recv_timeout_s = 5.0;
 };
 
 class ScheduleServer {

@@ -63,7 +63,7 @@ TEST(Presolve, FixedVariableSubstitutesIntoRhs) {
   m.add_coefficient(r2, x, 1);
   m.add_coefficient(r2, z, -1);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::kReduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::kReduced);
   EXPECT_EQ(pre.stats().fixed_variables, 1);
   EXPECT_EQ(pre.reduced().num_variables(), 2);
   EXPECT_NEAR(pre.reduced().rhs(0), 3.0, 1e-12);
@@ -85,7 +85,7 @@ TEST(Presolve, SingletonRowBecomesBound) {
   m.add_coefficient(r, x, 1);
   m.add_coefficient(r, y, 1);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::kReduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::kReduced);
   EXPECT_EQ(pre.stats().singleton_rows, 1);
   EXPECT_EQ(pre.reduced().num_rows(), 1);
   EXPECT_NEAR(pre.reduced().upper(0), 2.0, 1e-12);
@@ -222,7 +222,7 @@ TEST(Presolve, MapWarmBasisRejectsBasicEliminatedColumn) {
   m.add_coefficient(r2, x, 1);
   m.add_coefficient(r2, z, -1);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::kReduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::kReduced);
   LpBasis full;
   full.variables = {LpVarStatus::kAtLower, LpVarStatus::kAtLower,
                     LpVarStatus::kBasic};

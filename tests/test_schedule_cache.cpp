@@ -3,6 +3,8 @@
 #include "core/schedule_cache.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -77,6 +79,33 @@ TEST(Fingerprint, StableAndSensitive) {
   DiGraph recap = make_ring(8);
   recap.set_capacity(0, 2.0);
   EXPECT_NE(fp, schedule_fingerprint(recap, cerio, options));
+}
+
+// Fingerprints name on-disk cache entries and the X-A2A-Fingerprint
+// header, so the bytes they hash are a stored format: these values must
+// never move without a deliberate cache-format change.
+TEST(Fingerprint, PinnedValues) {
+  const Fabric cerio = hpc_cerio_fabric();
+  EXPECT_EQ(schedule_fingerprint(make_ring(8), cerio, {}),
+            "9a386797e6302f59b005dde349ca2344");
+
+  const DiGraph gk = make_generalized_kautz(12, 3);
+  ToolchainOptions zipf;
+  zipf.workload.demand = DemandSpec::parse("zipf:1.2");
+  EXPECT_EQ(schedule_fingerprint(gk, cerio, zipf),
+            "ed2836d0c9f1bd305c060b4e1b03fb69");
+
+  ToolchainOptions rs = zipf;
+  rs.workload.collective = CollectiveKind::kReduceScatter;
+  EXPECT_EQ(schedule_fingerprint(gk, cerio, rs),
+            "b39055c1a57405c87abadbbb961f1ecb");
+
+  ToolchainOptions diverse;
+  diverse.path_diversity_threshold = 64;
+  EXPECT_EQ(schedule_fingerprint(gk, cerio, diverse),
+            "6f51f6f2f093f6b710d982448ea4091e");
+  EXPECT_EQ(schedule_fingerprint(gk, cpu_oneccl_fabric(), {}),
+            "3f23cec052369f409f0f23516e4537f5");
 }
 
 TEST(Fingerprint, EdgeOrderDoesNotMatter) {
@@ -486,6 +515,72 @@ TEST(ScheduleCache, TruncatedArtifactQuarantinesInsteadOfThrowing) {
   // Re-synthesis (re-insert) heals the entry with a fresh write.
   cache.insert("fp", make_sized(200, 9));
   EXPECT_TRUE(cache.lookup("fp").has_value());
+}
+
+/// Caps the process's address space at its current size plus `headroom`
+/// bytes for the lifetime of the object, so a larger mmap fails with ENOMEM.
+class AddressSpaceCap {
+ public:
+  explicit AddressSpaceCap(std::size_t headroom) {
+    ::getrlimit(RLIMIT_AS, &saved_);
+    std::size_t vm_pages = 0;
+    std::ifstream("/proc/self/statm") >> vm_pages;
+    rlimit capped = saved_;
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    capped.rlim_cur = vm_pages * page + headroom;
+    ok_ = vm_pages > 0 && capped.rlim_cur <= saved_.rlim_max &&
+          ::setrlimit(RLIMIT_AS, &capped) == 0;
+  }
+  ~AddressSpaceCap() { ::setrlimit(RLIMIT_AS, &saved_); }
+  AddressSpaceCap(const AddressSpaceCap&) = delete;
+  AddressSpaceCap& operator=(const AddressSpaceCap&) = delete;
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+TEST(ScheduleCache, MmapResourceFailureIsAMissNotCorruption) {
+  // An artifact large enough that mapping it needs more address space than
+  // the cap below leaves: transfers with varied fields so the codecs cannot
+  // shrink it.
+  GeneratedSchedule big = make_sized(0, 1);
+  std::uint32_t x = 12345;
+  for (int i = 0; i < 400'000; ++i) {
+    x = x * 1664525u + 1013904223u;
+    big.link->transfers.push_back(
+        Transfer{{static_cast<NodeId>(x % 4), static_cast<NodeId>(x >> 30),
+                  Rational(x % 97, 98), Rational(1)},
+                 static_cast<NodeId>((x >> 8) % 4),
+                 static_cast<NodeId>((x >> 12) % 4),
+                 static_cast<int>((x >> 16) % 1000) + 1});
+  }
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  options.max_memory_bytes = 0;  // force lookups to the disk tier
+  ScheduleCache cache(options);
+  cache.insert("fp", big);
+  const std::string path = cache.entry_path("fp");
+  ASSERT_FALSE(path.empty());
+  const std::size_t artifact_bytes = fs::file_size(path);
+  ASSERT_GT(artifact_bytes, 2u << 20);
+
+  {
+    const AddressSpaceCap cap(artifact_bytes / 2);
+    ASSERT_TRUE(cap.ok()) << "cannot lower RLIMIT_AS";
+    EXPECT_FALSE(cache.lookup_artifact("fp").has_value());
+  }
+  // A failed mapping says nothing about the bytes on disk: the artifact and
+  // its ref stay, and nothing counts as corruption.
+  EXPECT_EQ(cache.stats().disk_corrupt, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.entry_path("fp"), path);
+  EXPECT_FALSE(fs::exists(dir.path / "quarantine" / fs::path(path).filename()));
+  // With the limit restored the same artifact is served from disk.
+  EXPECT_TRUE(cache.lookup_artifact("fp").has_value());
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
 }
 
 TEST(ScheduleCache, EnvelopeRoundTripsPathSchedules) {
