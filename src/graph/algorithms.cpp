@@ -149,7 +149,9 @@ DijkstraTree dijkstra_tree(const DiGraph& g, NodeId s,
       const double l = length[static_cast<std::size_t>(e)];
       A2A_REQUIRE(l >= 0.0, "negative edge length in Dijkstra");
       const NodeId v = g.edge(e).to;
-      if (d + l < tree.dist[static_cast<std::size_t>(v)] - 1e-15) {
+      // Relative tolerance: FPTAS lengths start near 1e-127, where any
+      // absolute slack would freeze every label at its first discovery.
+      if (d + l < tree.dist[static_cast<std::size_t>(v)] * (1.0 - 1e-15)) {
         tree.dist[static_cast<std::size_t>(v)] = d + l;
         tree.parent_edge[static_cast<std::size_t>(v)] = e;
         heap.emplace(d + l, v);

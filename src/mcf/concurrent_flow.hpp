@@ -67,6 +67,10 @@ struct GroupedFlowSolution {
   std::vector<std::vector<double>> per_source;
   double solve_seconds = 0.0;
   long long lp_iterations = 0;
+  /// FPTAS only: completed phases, and a certified bound F* <= upper_bound
+  /// on the optimum (0 from the exact LP, whose F is the optimum).
+  long long phases = 0;
+  double upper_bound = 0.0;
 };
 
 /// All nodes of g as the terminal set.

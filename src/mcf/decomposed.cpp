@@ -47,9 +47,17 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
                                       const DemandMatrix* demand) {
   const auto t0 = std::chrono::steady_clock::now();
   const GroupedFlowSolution master = [&] {
-    A2A_TRACE_SPAN("mcf.master",
-                   std::to_string(terminals.size()) + " terminals");
-    return solve_master(g, terminals, options, master_warm, demand);
+    obs::TraceSpan span("mcf.master",
+                        std::to_string(terminals.size()) + " terminals");
+    GroupedFlowSolution solved =
+        solve_master(g, terminals, options, master_warm, demand);
+    if (solved.phases > 0) {
+      const double gap = (solved.upper_bound - solved.concurrent_flow) /
+                         solved.upper_bound;
+      span.annotate("phases=" + std::to_string(solved.phases) +
+                    ", gap=" + std::to_string(gap));
+    }
+    return solved;
   }();
   const auto t1 = std::chrono::steady_clock::now();
 

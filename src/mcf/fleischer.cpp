@@ -8,6 +8,7 @@
 
 #include "collectives/demand.hpp"
 #include "graph/algorithms.hpp"
+#include "obs/metrics.hpp"
 
 namespace a2a {
 
@@ -62,13 +63,44 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
   // multiplied by factors >= 1), so it is maintained incrementally at every
   // length update instead of re-summing all m edges per phase check.
   double dual = 0.0;
+  double capacity = 0.0;
   for (std::size_t e = 0; e < m; ++e) {
     length[e] = delta / cap[e];
     dual += cap[e] * length[e];
+    capacity += cap[e];
   }
+
+  long long shortest_paths = 0;
+  // alpha(l) = sum_{s != d} w(s,d) * dist_l(s,d): the cheapest way to ship
+  // one phase of demand under lengths l. Weak duality gives
+  // F* <= D(l) / alpha(l) for every l >= 0, D(l) = sum_e cap_e * l_e.
+  const auto weighted_distance = [&](const std::vector<double>& l) {
+    double alpha = 0.0;
+    for (int si = 0; si < S; ++si) {
+      if (demand != nullptr && demand->row_sum(si) <= 0.0) continue;
+      const DijkstraTree tree =
+          dijkstra_tree(g, terminals[static_cast<std::size_t>(si)], l);
+      ++shortest_paths;
+      for (int di = 0; di < S; ++di) {
+        if (di == si) continue;
+        const double w = demand == nullptr ? 1.0 : demand->at(si, di);
+        if (w <= 0.0) continue;
+        alpha += w * tree.dist[static_cast<std::size_t>(
+                         terminals[static_cast<std::size_t>(di)])];
+      }
+    }
+    return alpha;
+  };
+  // Unit lengths: Theorem 1's capacity / distance bound, generalised to
+  // this terminal set and demand matrix.
+  double upper = capacity / weighted_distance(std::vector<double>(m, 1.0));
 
   std::vector<std::vector<double>> flow(
       static_cast<std::size_t>(S), std::vector<double>(m, 0.0));
+  // Summed flow and its congestion mu = max_e total_e / cap_e, kept as flow
+  // is routed: after p complete phases, p / mu is the feasible F.
+  std::vector<double> total(m, 0.0);
+  double mu = 0.0;
 
   // Hoisted out of the phase loop: per-sink remaining demand and the
   // per-step edge request accumulator (reset via its touched set).
@@ -76,7 +108,15 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
   std::vector<double> request(m, 0.0);
   std::vector<EdgeId> requested;
   requested.reserve(m);
+  const auto remaining_demand = [&] {
+    double remaining = 0.0;
+    for (const double d : sink_demand) remaining += d;
+    return remaining;
+  };
 
+  // p / mu is a valid lower bound only while every phase so far routed all
+  // of its demand; a routing guard that runs out disables the gap stop.
+  bool all_routed = true;
   long long phases = 0;
   while (dual < 1.0 && phases < kFleischerMaxPhases) {
     // >= 1 phase always runs: the rescale needs some flow (mu > 0).
@@ -96,12 +136,11 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
       }
       sink_demand[static_cast<std::size_t>(si)] = 0.0;
       for (int guard = 0; guard < 64 * S + 1024; ++guard) {
-        double remaining = 0.0;
-        for (const double d : sink_demand) remaining += d;
-        if (remaining <= 1e-12) break;
+        if (remaining_demand() <= 1e-12) break;
         // Shortest-path tree under the current lengths; route every sink's
         // remaining demand along it, capacity-limited by a common factor.
         const DijkstraTree tree = dijkstra_tree(g, s, length);
+        ++shortest_paths;
         requested.clear();
         for (int di = 0; di < S; ++di) {
           const double dem = sink_demand[static_cast<std::size_t>(di)];
@@ -126,29 +165,32 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
           const double routed = gamma * request[es];
           request[es] = 0.0;
           fs[es] += routed;
+          total[es] += routed;
+          mu = std::max(mu, total[es] / cap[es]);
           const double grown = length[es] * (1.0 + eps * routed / cap[es]);
           dual += cap[es] * (grown - length[es]);
           length[es] = grown;
         }
         for (auto& d : sink_demand) d -= gamma * d;
       }
+      if (remaining_demand() > 1e-12) all_routed = false;
+    }
+    // Certified stop: alpha is taken on the end-of-phase lengths, one
+    // Dijkstra per source; the routing trees saw lengths from mid-phase.
+    upper = std::min(upper, dual / weighted_distance(length));
+    if (all_routed && static_cast<double>(phases) / mu >= (1.0 - eps) * upper) {
+      break;
     }
   }
 
   // Congestion rescale: the accumulated flow delivered `phases` units per
   // commodity; dividing by the worst overload makes it feasible.
-  std::vector<double> total(m, 0.0);
-  for (const auto& fs : flow) {
-    for (std::size_t e = 0; e < m; ++e) total[e] += fs[e];
-  }
-  double mu = 0.0;
-  for (std::size_t e = 0; e < m; ++e) {
-    if (cap[e] > 0.0) mu = std::max(mu, total[e] / cap[e]);
-  }
   A2A_ASSERT(mu > 0.0, "Fleischer produced no flow");
   GroupedFlowSolution out;
   out.terminals = terminals;
   out.concurrent_flow = static_cast<double>(phases) / mu;
+  out.upper_bound = upper;
+  out.phases = phases;
   out.per_source = std::move(flow);
   for (auto& fs : out.per_source) {
     for (auto& f : fs) f /= mu;
@@ -156,6 +198,13 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
   out.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  // Pushed once per solve, like LpStats: the phase loop stays atomic-free.
+  A2A_COUNTER("fptas.solves").inc();
+  A2A_COUNTER("fptas.phases").add(static_cast<std::uint64_t>(phases));
+  A2A_COUNTER("fptas.shortest_paths")
+      .add(static_cast<std::uint64_t>(shortest_paths));
+  A2A_GAUGE("fptas.gap_ppm")
+      .set(std::llround(1e6 * (upper - out.concurrent_flow) / upper));
   return out;
 }
 

@@ -9,7 +9,11 @@
 // Grouped mode exploits the paper's source-grouping insight directly: a
 // phase routes one unit of demand from a source to *every* sink along the
 // current shortest-path tree, so a phase costs one Dijkstra per source
-// instead of one per commodity.
+// instead of one per commodity. It stops at the first phase whose flow is
+// certified within (1 - eps) of the optimum: the primal bound phases/mu
+// (mu = worst congestion) against the dual bound min(Theorem 1's
+// capacity/distance bound, min over phases of D(l)/alpha(l)), weak duality
+// on the end-of-phase lengths l.
 #pragma once
 
 #include <vector>
@@ -24,7 +28,10 @@ namespace a2a {
 inline constexpr long long kFleischerMaxPhases = 200'000;
 
 struct FleischerOptions {
-  double epsilon = 0.05;       ///< target (1-O(eps)) approximation.
+  /// Approximation target. fleischer_grouped stops once F is certified
+  /// >= (1-eps)·upper_bound >= (1-eps)·F*; fleischer_paths runs until the
+  /// dual reaches 1, a (1-O(eps)) guarantee.
+  double epsilon = 0.05;
   /// Wall-clock budget in seconds; 0 = unlimited. Checked at phase
   /// boundaries only — the congestion rescale makes the flow accumulated by
   /// *completed* phases feasible, so stopping there keeps the anytime
@@ -37,7 +44,9 @@ struct FleischerOptions {
 /// every other terminal (or w(s,d) under a non-null demand matrix); the
 /// result reports feasible per-source flows after congestion rescaling, and
 /// F = achieved common rate per unit demand (sink d of source s receives
-/// w(s,d)·F). A unit matrix routes identically to nullptr.
+/// w(s,d)·F). A unit matrix routes identically to nullptr. `phases` and
+/// `upper_bound` (F* <= upper_bound) come back with it; the gap stop fires
+/// only while every phase routed all of its demand.
 [[nodiscard]] GroupedFlowSolution fleischer_grouped(
     const DiGraph& g, const std::vector<NodeId>& terminals,
     const FleischerOptions& options = {},

@@ -169,13 +169,14 @@ TEST(FuzzDemands, SolverTiersAgreeOnRandomDemandMatrices) {
                 1e-4 * std::max(1.0, exact.concurrent_flow));
     check_weighted_feasible(g, decomposed, demand);
 
-    // Fleischer's grouped FPTAS: feasible (never above the optimum) and
-    // within its approximation guarantee.
+    // Fleischer's grouped FPTAS: feasible (never above the optimum), its
+    // dual bound never below it, and within its approximation guarantee.
     FleischerOptions fo;
     fo.epsilon = 0.05;
     const GroupedFlowSolution fptas =
         fleischer_grouped(g, terminals, fo, &demand);
     ASSERT_LE(fptas.concurrent_flow, exact.concurrent_flow * (1.0 + 1e-6));
+    ASSERT_GE(fptas.upper_bound, exact.concurrent_flow * (1.0 - 1e-9));
     ASSERT_GE(fptas.concurrent_flow, exact.concurrent_flow * (1.0 - 0.15));
 
     // Compile the decomposed flows into a pipelined schedule and validate

@@ -1,5 +1,6 @@
-// Fleischer FPTAS (§2.3 baseline / large-N master): feasibility always,
-// (1 - O(eps)) optimality against the exact simplex on overlapping sizes.
+// Fleischer FPTAS (§2.3 baseline / large-N master): feasibility always, a
+// certified (1 - eps) gap for the grouped master against the exact simplex
+// on overlapping sizes, (1 - O(eps)) for the path-restricted variant.
 #include "mcf/fleischer.hpp"
 
 #include <gtest/gtest.h>
@@ -49,11 +50,31 @@ TEST_P(FleischerVsExact, WithinEpsilonOfSimplex) {
   options.epsilon = 0.05;
   const auto sol = fleischer_grouped(g, all_nodes(g), options);
   EXPECT_LE(sol.concurrent_flow, exact + 1e-6);
-  EXPECT_GE(sol.concurrent_flow, exact * (1.0 - 3 * options.epsilon));
+  // The dual bound is a certificate: never below the optimum, and the stop
+  // rule only returns once F is within (1 - eps) of it.
+  EXPECT_GE(sol.upper_bound, exact * (1.0 - 1e-9));
+  EXPECT_GE(sol.concurrent_flow, exact * (1.0 - options.epsilon));
+  EXPECT_GE(sol.phases, 1);
   check_grouped_feasible(g, sol);
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, FleischerVsExact, ::testing::Range(0, 5));
+
+TEST(Fleischer, Torus444StopsOnCertifiedGap) {
+  // The decomposed master's large-N case: F* = 1/32 on torus 4x4x4. The gap
+  // stop ends the run in a few dozen phases instead of the hundreds that
+  // running the dual up to 1 takes.
+  const DiGraph g = make_torus({4, 4, 4});
+  FleischerOptions options;
+  options.epsilon = 0.02;
+  const auto sol = fleischer_grouped(g, all_nodes(g), options);
+  EXPECT_GE(sol.upper_bound, (1.0 / 32.0) * (1.0 - 1e-9));
+  EXPECT_GE(sol.concurrent_flow, (1.0 - options.epsilon) * sol.upper_bound);
+  EXPECT_GE(sol.concurrent_flow, 0.98 / 32.0);
+  EXPECT_LE(sol.concurrent_flow, 1.0 / 32.0 + 1e-9);
+  EXPECT_LE(sol.phases, 40);
+  check_grouped_feasible(g, sol);
+}
 
 TEST(Fleischer, TighterEpsilonIsCloser) {
   const DiGraph g = make_hypercube(3);

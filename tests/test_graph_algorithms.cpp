@@ -58,6 +58,18 @@ TEST(GraphAlgorithms, DijkstraShortest) {
   EXPECT_TRUE(path_is_valid(g, *path, 0, 3));
 }
 
+TEST(GraphAlgorithms, DijkstraImprovesTinyLabels) {
+  // Lengths on the scale of the FPTAS's initial delta/cap: the direct edge
+  // is found first, the two-hop route is shorter and must replace it.
+  DiGraph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(2, 1);
+  const auto tree = dijkstra_tree(g, 0, {3e-30, 1e-30, 1e-30});
+  EXPECT_DOUBLE_EQ(tree.dist[1], 2e-30);
+  EXPECT_EQ(tree.parent_edge[1], 2);
+}
+
 TEST(GraphAlgorithms, DijkstraRejectsNegativeLengths) {
   DiGraph g(2);
   g.add_edge(0, 1);
