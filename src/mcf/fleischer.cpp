@@ -177,6 +177,9 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
     }
     // Certified stop: alpha is taken on the end-of-phase lengths, one
     // Dijkstra per source; the routing trees saw lengths from mid-phase.
+    // The unit-length bound is tight only for uniform demand on symmetric
+    // graphs (torus, hypercube); under skewed demand or on GenKautz,
+    // random-regular and uneven tori this term is the one that certifies.
     upper = std::min(upper, dual / weighted_distance(length));
     if (all_routed && static_cast<double>(phases) / mu >= (1.0 - eps) * upper) {
       break;

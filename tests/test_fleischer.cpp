@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "collectives/demand.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/path_mcf.hpp"
 
 namespace a2a {
 namespace {
 
-void check_grouped_feasible(const DiGraph& g, const GroupedFlowSolution& sol) {
+void check_grouped_feasible(const DiGraph& g, const GroupedFlowSolution& sol,
+                            const DemandMatrix* demand = nullptr) {
   std::vector<double> total(static_cast<std::size_t>(g.num_edges()), 0.0);
   for (const auto& fs : sol.per_source) {
     for (std::size_t e = 0; e < total.size(); ++e) total[e] += fs[e];
@@ -19,16 +21,20 @@ void check_grouped_feasible(const DiGraph& g, const GroupedFlowSolution& sol) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_LE(total[static_cast<std::size_t>(e)], g.edge(e).capacity + 1e-6);
   }
-  // Every source delivers >= F to each other terminal (grouped form:
-  // inflow - outflow >= F at every other terminal).
+  // Every source delivers >= w(s,d)·F to each other terminal (grouped form:
+  // inflow - outflow >= w·F at every other terminal; w = 1 when unweighted).
   for (std::size_t si = 0; si < sol.terminals.size(); ++si) {
     const auto& flow = sol.per_source[si];
-    for (const NodeId u : sol.terminals) {
-      if (u == sol.terminals[si]) continue;
+    for (std::size_t di = 0; di < sol.terminals.size(); ++di) {
+      if (di == si) continue;
+      const NodeId u = sol.terminals[di];
+      const double w = demand == nullptr
+                           ? 1.0
+                           : demand->at(static_cast<int>(si), static_cast<int>(di));
       double in = 0, out = 0;
       for (const EdgeId e : g.in_edges(u)) in += flow[static_cast<std::size_t>(e)];
       for (const EdgeId e : g.out_edges(u)) out += flow[static_cast<std::size_t>(e)];
-      EXPECT_GE(in - out, sol.concurrent_flow - 1e-6)
+      EXPECT_GE(in - out, w * sol.concurrent_flow - 1e-6)
           << "source " << sol.terminals[si] << " sink " << u;
     }
   }
@@ -74,6 +80,22 @@ TEST(Fleischer, Torus444StopsOnCertifiedGap) {
   EXPECT_LE(sol.concurrent_flow, 1.0 / 32.0 + 1e-9);
   EXPECT_LE(sol.phases, 40);
   check_grouped_feasible(g, sol);
+}
+
+TEST(Fleischer, SkewedDemandStopsOnLengthBound) {
+  // Zipf-skewed rows on torus 4x4x4: the unit-length (Theorem 1) bound
+  // stays at 1/32 while F* is about six times lower, so only the
+  // D(l)/alpha(l) bound on the end-of-phase lengths can certify the gap.
+  // Without it the run goes on until the dual reaches 1 (77 phases).
+  const DiGraph g = make_torus({4, 4, 4});
+  const DemandMatrix demand = DemandMatrix::zipf(64, 1.2);
+  FleischerOptions options;
+  options.epsilon = 0.02;
+  const auto sol = fleischer_grouped(g, all_nodes(g), options, &demand);
+  EXPECT_LT(sol.upper_bound, 0.5 / 32.0);
+  EXPECT_GE(sol.concurrent_flow, (1.0 - options.epsilon) * sol.upper_bound);
+  EXPECT_LE(sol.phases, 10);
+  check_grouped_feasible(g, sol, &demand);
 }
 
 TEST(Fleischer, TighterEpsilonIsCloser) {
