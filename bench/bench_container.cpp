@@ -175,12 +175,12 @@ int main(int argc, char** argv) {
     const double bin_enc =
         best_time([&] { (void)path_schedule_to_schedbin(g, sched, serial); });
     const double bin_dec =
-        best_time([&] { (void)path_schedule_from_schedbin(g, delta); });
+        best_time([&] { (void)SchedBinReader::from_bytes(delta).read_path(g); });
     const double bin_enc_mt =
         best_time([&] { (void)path_schedule_to_schedbin(g, sched, threaded); });
     const std::string delta_mt = path_schedule_to_schedbin(g, sched, threaded);
     const double bin_dec_mt = best_time(
-        [&] { (void)path_schedule_from_schedbin(g, delta_mt, &pool); });
+        [&] { (void)SchedBinReader::from_bytes(delta_mt).read_path(g, &pool); });
     // Throughput normalized by the logical payload (the XML byte count), so
     // the columns compare end-to-end schedule (de)serialization rates.
     speeds.row()

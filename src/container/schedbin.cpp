@@ -65,43 +65,16 @@ void check_metadata_limits(const SchedBinMetadata& metadata) {
   }
 }
 
-void append_header(std::string& out, SchedBinKind kind, std::uint16_t version,
-                   SchedBinCodec codec, int num_nodes, int num_steps,
-                   const Rational& chunk_unit, std::uint64_t record_count,
-                   std::uint64_t word_count, std::uint32_t chunk_words,
-                   std::uint32_t num_chunks) {
-  out.append(kSchedBinMagic, sizeof(kSchedBinMagic));
-  put_u16(out, version);
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(codec));
-  put_u32(out, static_cast<std::uint32_t>(num_nodes));
-  put_u32(out, static_cast<std::uint32_t>(num_steps));
-  put_u64(out, record_count);
-  put_u64(out, word_count);
-  put_u64(out, static_cast<std::uint64_t>(chunk_unit.num()));
-  put_u64(out, static_cast<std::uint64_t>(chunk_unit.den()));
-  put_u32(out, chunk_words);
-  put_u32(out, num_chunks);
-}
-
 std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
                              const Rational& chunk_unit,
                              std::uint64_t record_count,
                              const std::vector<std::int64_t>& words,
                              const SchedBinOptions& options) {
-  A2A_REQUIRE(options.version == kSchedBinVersion1 ||
-                  options.version == kSchedBinVersion2,
-              "unsupported SchedBin write version ", options.version);
   A2A_REQUIRE(options.chunk_words > 0, "chunk_words must be positive");
   A2A_REQUIRE(options.chunk_words <= kSchedBinMaxChunkWords,
               "chunk_words ", options.chunk_words, " above the ",
               kSchedBinMaxChunkWords, " ceiling");
   (void)codec_name(options.codec);  // validates the codec id.
-  const bool v2 = options.version == kSchedBinVersion2;
-  A2A_REQUIRE(v2 || options.codec != SchedBinCodec::kDict,
-              "the dict codec needs a v2 frame (v1 has no dictionary trailer)");
-  A2A_REQUIRE(v2 || options.metadata.empty(),
-              "v1 frames cannot carry metadata — write version 2");
   check_metadata_limits(options.metadata);
   const std::size_t chunks = chunk_count(words.size(), options.chunk_words);
   obs::TraceSpan span("stage.encode",
@@ -110,13 +83,6 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   const auto encode_start = std::chrono::steady_clock::now();
   A2A_COUNTER("schedbin.encode.calls").inc();
   A2A_COUNTER("schedbin.encode.raw_bytes").add(words.size() * 8);
-  const auto finish_encode_metrics = [&](const std::string& frame) {
-    A2A_COUNTER("schedbin.encode.encoded_bytes").add(frame.size());
-    A2A_HISTOGRAM("schedbin.encode.seconds")
-        .observe_seconds(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - encode_start)
-                             .count());
-  };
 
   // The dict codec builds one dictionary over the whole frame, then every
   // chunk keeps the smallest of its dict/rle/delta/raw encodings (per-chunk
@@ -196,25 +162,20 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   for (const std::string& p : payloads) payload_bytes += p.size();
 
   std::string out;
-  if (!v2) {
-    out.reserve(kHeaderBytes + chunks * kDirEntryBytesV1 + payload_bytes);
-    append_header(out, kind, kSchedBinVersion1, options.codec, num_nodes,
-                  num_steps, chunk_unit, record_count, words.size(),
-                  options.chunk_words, static_cast<std::uint32_t>(chunks));
-    for (const std::string& p : payloads) {
-      put_u32(out, static_cast<std::uint32_t>(p.size()));
-      put_u32(out, crc32(p.data(), p.size()));
-    }
-    for (const std::string& p : payloads) out.append(p);
-    finish_encode_metrics(out);
-    return out;
-  }
-
   out.reserve(kHeaderBytes + payload_bytes + chunks * kDirEntryBytesV2 +
               dict.size() * 4 + kFooterBytes + 64);
-  append_header(out, kind, kSchedBinVersion2, options.codec, num_nodes,
-                num_steps, chunk_unit, record_count, words.size(),
-                options.chunk_words, static_cast<std::uint32_t>(chunks));
+  out.append(kSchedBinMagic, sizeof(kSchedBinMagic));
+  put_u16(out, kSchedBinVersion2);
+  out.push_back(static_cast<char>(kind));
+  out.push_back(static_cast<char>(options.codec));
+  put_u32(out, static_cast<std::uint32_t>(num_nodes));
+  put_u32(out, static_cast<std::uint32_t>(num_steps));
+  put_u64(out, record_count);
+  put_u64(out, words.size());
+  put_u64(out, static_cast<std::uint64_t>(chunk_unit.num()));
+  put_u64(out, static_cast<std::uint64_t>(chunk_unit.den()));
+  put_u32(out, options.chunk_words);
+  put_u32(out, static_cast<std::uint32_t>(chunks));
   for (const std::string& p : payloads) out.append(p);
 
   const std::size_t trailer_offset = out.size();
@@ -243,7 +204,11 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   put_u32(out, crc32(trailer.data(), trailer.size()));
   put_u32(out, crc32(out.data(), kHeaderBytes));
   out.append(kSchedBinTrailerMagic, sizeof(kSchedBinTrailerMagic));
-  finish_encode_metrics(out);
+  A2A_COUNTER("schedbin.encode.encoded_bytes").add(out.size());
+  A2A_HISTOGRAM("schedbin.encode.seconds")
+      .observe_seconds(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - encode_start)
+                           .count());
   return out;
 }
 
@@ -528,36 +493,12 @@ std::string link_schedule_to_schedbin(const LinkSchedule& schedule,
                           link_schedule_to_words(schedule), options);
 }
 
-LinkSchedule link_schedule_from_schedbin(std::string_view bytes,
-                                         ThreadPool* pool,
-                                         std::uint64_t max_decoded_bytes) {
-  const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
-  A2A_REQUIRE(pc.info.kind == SchedBinKind::kLink,
-              "not a link-schedule SchedBin");
-  const std::vector<std::int64_t> words = decode_payload(bytes, pc, pool);
-  return link_schedule_from_words(words, pc.info.num_nodes, pc.info.num_steps,
-                                  static_cast<std::size_t>(pc.info.record_count));
-}
-
 std::string path_schedule_to_schedbin(const DiGraph& g,
                                       const PathSchedule& schedule,
                                       const SchedBinOptions& options) {
   return encode_container(SchedBinKind::kPath, schedule.num_nodes, 0,
                           schedule.chunk_unit, schedule.entries.size(),
                           path_schedule_to_words(g, schedule), options);
-}
-
-PathSchedule path_schedule_from_schedbin(const DiGraph& g,
-                                         std::string_view bytes,
-                                         ThreadPool* pool,
-                                         std::uint64_t max_decoded_bytes) {
-  const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
-  A2A_REQUIRE(pc.info.kind == SchedBinKind::kPath,
-              "not a path-schedule SchedBin");
-  const std::vector<std::int64_t> words = decode_payload(bytes, pc, pool);
-  return path_schedule_from_words(g, words, pc.info.num_nodes,
-                                  pc.info.chunk_unit,
-                                  static_cast<std::size_t>(pc.info.record_count));
 }
 
 SchedBinInfo schedbin_inspect(std::string_view bytes,
@@ -576,11 +517,8 @@ std::string schedbin_convert(std::string_view bytes, SchedBinOptions options,
   const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
   const std::vector<std::int64_t> words =
       decode_payload(bytes, pc, options.pool);
-  // Frame metadata rides along unless the caller stamps its own; v1 targets
-  // cannot carry any, so conversion down-level drops it by design.
-  if (options.metadata.empty() && options.version == kSchedBinVersion2) {
-    options.metadata = pc.info.metadata;
-  }
+  // Frame metadata rides along unless the caller stamps its own.
+  if (options.metadata.empty()) options.metadata = pc.info.metadata;
   return encode_container(pc.info.kind, pc.info.num_nodes, pc.info.num_steps,
                           pc.info.chunk_unit, pc.info.record_count, words,
                           options);

@@ -8,7 +8,8 @@
 // compressed chunks that can be (de)compressed in parallel and are each
 // guarded by a CRC-32.
 //
-// Format v1 layout (all integers little-endian):
+// Format v1 layout (read-only: every writer emits v2; all integers
+// little-endian):
 //
 //   offset  size  field
 //   0       4     magic "SBIN"
@@ -101,18 +102,13 @@ using SchedBinMetadata = std::vector<std::pair<std::string, std::string>>;
 
 struct SchedBinOptions {
   SchedBinCodec codec = SchedBinCodec::kDelta;
-  /// Container format version to write. v2 (trailer directory, dict codec,
-  /// metadata, mmap chunk reads) is the default; v1 is kept for fleets with
-  /// older readers and writes byte-identical frames to PR 1.
-  std::uint16_t version = kSchedBinVersion2;
   /// Words per chunk. The default (64Ki words = 512 KiB raw) keeps chunk
   /// count low for small schedules while giving large ones enough chunks to
   /// saturate the pool.
   std::uint32_t chunk_words = 64 * 1024;
   /// Optional pool for parallel per-chunk compression; serial when null.
   ThreadPool* pool = nullptr;
-  /// Free-form provenance stamps written into the v2 trailer (v1 frames
-  /// cannot carry metadata; writing v1 with metadata is an error).
+  /// Free-form provenance stamps written into the v2 trailer.
   SchedBinMetadata metadata;
 };
 
@@ -136,20 +132,13 @@ struct SchedBinInfo {
   SchedBinMetadata metadata;         ///< v2 trailer metadata (empty for v1).
 };
 
+/// Encoders. Decoding goes through SchedBinReader (read_link / read_path).
 [[nodiscard]] std::string link_schedule_to_schedbin(
     const LinkSchedule& schedule, const SchedBinOptions& options = {});
-
-[[nodiscard]] LinkSchedule link_schedule_from_schedbin(
-    std::string_view bytes, ThreadPool* pool = nullptr,
-    std::uint64_t max_decoded_bytes = kSchedBinDefaultDecodeBudget);
 
 [[nodiscard]] std::string path_schedule_to_schedbin(
     const DiGraph& g, const PathSchedule& schedule,
     const SchedBinOptions& options = {});
-
-[[nodiscard]] PathSchedule path_schedule_from_schedbin(
-    const DiGraph& g, std::string_view bytes, ThreadPool* pool = nullptr,
-    std::uint64_t max_decoded_bytes = kSchedBinDefaultDecodeBudget);
 
 /// Validates magic/version/structure and every chunk CRC without decoding.
 /// Throws InvalidArgument on any corruption.
@@ -157,13 +146,12 @@ struct SchedBinInfo {
     std::string_view bytes,
     std::uint64_t max_decoded_bytes = kSchedBinDefaultDecodeBudget);
 
-/// Losslessly re-encodes a container under new codec/version/chunking:
-/// decodes the payload word stream and re-frames it, copying every header
-/// field (kind, nodes, steps, chunk_unit, record count) from the source.
-/// Source metadata is carried through unless `options.metadata` is
-/// non-empty (explicit stamps win); converting to v1 silently drops it —
-/// v1 frames cannot carry metadata by design. Works on both schedule kinds
-/// without a topology: the word stream is transcoded as-is.
+/// Losslessly re-encodes a container (v1 or v2) as a v2 frame under a new
+/// codec/chunking: decodes the payload word stream and re-frames it, copying
+/// every header field (kind, nodes, steps, chunk_unit, record count) from
+/// the source. Source metadata is carried through unless `options.metadata`
+/// is non-empty (explicit stamps win). Works on both schedule kinds without
+/// a topology: the word stream is transcoded as-is.
 [[nodiscard]] std::string schedbin_convert(
     std::string_view bytes, SchedBinOptions options,
     std::uint64_t max_decoded_bytes = kSchedBinDefaultDecodeBudget);

@@ -76,14 +76,8 @@ struct GeneratedSchedule {
                                                     const Fabric& fabric,
                                                     const ToolchainOptions& options = {});
 
-/// The lookup half: cached schedule for an already-computed fingerprint, or
-/// nullopt on miss (or null cache). Decodes the cached envelope — the
-/// zero-copy byte path is ScheduleCache::lookup_artifact().
-[[nodiscard]] std::optional<GeneratedSchedule> lookup_schedule(
-    ScheduleCache* cache, const std::string& fingerprint);
-
-/// Cache-aware variant, now a thin composition of the fingerprint-first
-/// split: schedule_fingerprint() -> lookup_schedule() -> on miss,
+/// Cache-aware variant, a thin composition of the fingerprint-first split:
+/// schedule_fingerprint() -> ScheduleCache::lookup() -> on miss,
 /// synthesize_schedule() + ScheduleCache::insert(). With a null cache this
 /// is synthesize_schedule().
 [[nodiscard]] GeneratedSchedule generate_schedule(const DiGraph& topology,

@@ -298,9 +298,9 @@ GeneratedSchedule generated_schedule_from_bytes(std::string_view bytes) {
               "cache entry blob length mismatch");
   const std::string_view blob = bytes.substr(pos, blob_len);
   if (flags & 1) {
-    out.link = link_schedule_from_schedbin(blob);
+    out.link = SchedBinReader::from_bytes(blob).read_link();
   } else if (flags & 2) {
-    out.path = path_schedule_from_schedbin(out.schedule_graph, blob);
+    out.path = SchedBinReader::from_bytes(blob).read_path(out.schedule_graph);
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "collectives/demand.hpp"
+#include "mcf/extraction.hpp"
 
 namespace a2a {
 
@@ -120,12 +121,20 @@ LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
   out.pairs = pairs;
   out.concurrent_flow = sol.values[static_cast<std::size_t>(f_var)];
   out.per_commodity.resize(static_cast<std::size_t>(K));
+  // §3.1.1 post-processing: the relay rows (3) are relaxed (out - in <= 0),
+  // so an optimum may absorb flow at a relay. Pruning each commodity to
+  // exactly w_k·F of s->d paths restores conservation.
   for (int k = 0; k < K; ++k) {
-    auto& flow = out.per_commodity[static_cast<std::size_t>(k)];
+    const double w = demand_weight(demand, pairs, k);
+    if (w <= 0.0) continue;  // variables fixed to zero
+    const auto [s, d] = pairs.nodes(k);
+    std::vector<double> dense(static_cast<std::size_t>(E));
     for (int e = 0; e < E; ++e) {
-      const double v = sol.values[static_cast<std::size_t>(var(k, e))];
-      if (v > 1e-10) flow.push(e, v);
+      dense[static_cast<std::size_t>(e)] =
+          sol.values[static_cast<std::size_t>(var(k, e))];
     }
+    out.per_commodity[static_cast<std::size_t>(k)] = SparseFlow::from_dense(
+        prune_to_exact_flow(g, s, d, dense, w * out.concurrent_flow));
   }
   out.lp_iterations = sol.iterations;
   out.solve_seconds = sol.solve_seconds;

@@ -44,7 +44,9 @@ class TerminalPairs {
   std::vector<NodeId> terminals_;
 };
 
-/// Per-commodity link flows at a common concurrent rate F.
+/// Per-commodity link flows at a common concurrent rate F. Flow is conserved
+/// at every relay: commodity k's flow is an s->d flow delivering at least
+/// w_k·F (the exact solver prunes its LP optimum to exactly w_k·F, §3.1.1).
 struct LinkFlowSolution {
   double concurrent_flow = 0.0;  ///< F
   TerminalPairs pairs{std::vector<NodeId>{}};

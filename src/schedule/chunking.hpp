@@ -13,29 +13,38 @@
 namespace a2a {
 
 struct ChunkingOptions {
-  /// Largest denominator allowed when snapping an LP rate to a rational.
+  /// Largest denominator D allowed when snapping an LP rate to a rational.
   /// This bounds the worst-case chunks-per-shard (and hence the QP count
-  /// §5.5 worries about): exact-LP weights are typically small fractions
-  /// that snap exactly, while FPTAS weights carry noise and land on the
-  /// grid. 360 = 2^3*3^2*5 is rich in divisors.
+  /// §5.5 worries about): a commodity of demand weight w gets at most
+  /// D·snap_demand(w) chunks, non-uniform demand included (see
+  /// snap_commodity_fractions). Exact-LP weights are typically small
+  /// fractions that snap exactly, while FPTAS weights carry noise and land
+  /// on the grid. 360 = 2^3*3^2*5 is rich in divisors.
   std::int64_t max_denominator = 360;
   /// Chunks smaller than this fraction of a shard are merged away.
   double min_fraction = 1e-4;
 };
 
-/// Snaps `values` (non-negative) to rationals and rescales them so they sum
-/// exactly to 1 (dropping entries below min_fraction and renormalizing).
-/// The input order is preserved; dropped entries become 0.
-[[nodiscard]] std::vector<Rational> snap_to_unit_fractions(
-    const std::vector<double>& values, const ChunkingOptions& options = {});
-
-/// Snaps a per-commodity demand weight onto the same k/D grid used by
-/// snap_to_unit_fractions, clamped to at least one grid cell so any positive
-/// weight moves at least one chunk. Weight 1 snaps to exactly Rational(1),
-/// which keeps the uniform pipeline bit-identical when fractions are scaled
-/// by the result.
+/// Snaps a per-commodity demand weight onto the k/D grid, clamped to at
+/// least one grid cell so any positive weight moves at least one chunk.
+/// Weight 1 snaps to exactly Rational(1), which keeps the uniform pipeline
+/// bit-identical.
 [[nodiscard]] Rational snap_demand(double weight,
                                    const ChunkingOptions& options = {});
+
+/// The chunking rule every schedule compiler applies. `rates[c]` are the
+/// non-negative route rates of commodity c (any scale) and `demands[c]` its
+/// demand weight. Returns per-route shard fractions in input order:
+/// commodity c's sum exactly to snap_demand(demands[c]) and are whole
+/// multiples of one shared step,
+///   step = max(gcd_c snap_demand(demands[c]) / D, 1/D),
+/// so commodity c gets at most D·snap_demand(demands[c]) chunks however
+/// skewed the demand. Rates below min_fraction of their commodity's total
+/// snap to 0. Under uniform demand the step is 1/D, so every commodity's
+/// fractions are k/D summing to 1.
+[[nodiscard]] std::vector<std::vector<Rational>> snap_commodity_fractions(
+    const std::vector<std::vector<double>>& rates,
+    const std::vector<double>& demands, const ChunkingOptions& options = {});
 
 /// Highest common factor of the non-zero fractions (the base chunk size).
 [[nodiscard]] Rational fractions_hcf(const std::vector<Rational>& fractions);

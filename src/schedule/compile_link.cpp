@@ -130,29 +130,38 @@ LinkSchedule compile_tsmcf_schedule(const DiGraph& g, const TsMcfSolution& ts,
   A2A_TRACE_SPAN("stage.chunk", "decompose + snap " +
                                     std::to_string(ts.pairs.count()) +
                                     " commodities");
+  std::vector<int> commodity;  // pair index of each decomposed commodity
+  std::vector<std::vector<SpaceTimePath>> st_paths;
+  std::vector<std::vector<double>> weights;
+  std::vector<double> demands;
   for (int k = 0; k < ts.pairs.count(); ++k) {
     const auto [s, d] = ts.pairs.nodes(k);
     const double w = demand_weight(demand, ts.pairs, k);
     if (w <= 0.0) continue;  // zero-weight commodities move no bytes
-    const auto st_paths =
+    auto paths =
         decompose_commodity(g, s, d, ts.flow[static_cast<std::size_t>(k)]);
-    if (st_paths.empty()) continue;
-    std::vector<double> weights(st_paths.size());
-    for (std::size_t p = 0; p < st_paths.size(); ++p) weights[p] = st_paths[p].weight;
-    const auto fractions = snap_to_unit_fractions(weights, options);
-    // Scale the unit tiling to the commodity's shard multiple: chunks tile
-    // [0, w_r). snap_demand(1) == 1, so unit demand is untouched.
-    const Rational w_r = snap_demand(w, options);
+    if (paths.empty()) continue;
+    std::vector<double>& rates = weights.emplace_back();
+    for (const SpaceTimePath& p : paths) rates.push_back(p.weight);
+    commodity.push_back(k);
+    st_paths.push_back(std::move(paths));
+    demands.push_back(w);
+  }
+  // Chunks tile [0, snap_demand(w_k)) per commodity.
+  const auto fraction_sets = snap_commodity_fractions(weights, demands, options);
+  for (std::size_t c = 0; c < commodity.size(); ++c) {
+    const auto [s, d] = ts.pairs.nodes(commodity[c]);
+    const auto& fractions = fraction_sets[c];
     Rational offset(0);
-    for (std::size_t p = 0; p < st_paths.size(); ++p) {
+    for (std::size_t p = 0; p < st_paths[c].size(); ++p) {
       if (fractions[p].is_zero()) continue;
       Chunk chunk;
       chunk.src = s;
       chunk.dst = d;
       chunk.lo = offset;
-      chunk.hi = offset + fractions[p] * w_r;
+      chunk.hi = offset + fractions[p];
       offset = chunk.hi;
-      for (const auto& [e, step] : st_paths[p].hops) {
+      for (const auto& [e, step] : st_paths[c][p].hops) {
         sched.transfers.push_back(
             Transfer{chunk, g.edge(e).from, g.edge(e).to, step});
       }
@@ -204,18 +213,17 @@ LinkSchedule unroll_rate_schedule(const DiGraph& g,
     A2A_TRACE_SPAN("stage.chunk",
                    "snap " + std::to_string(commodities.size()) +
                        " commodities to unit fractions");
-    fraction_sets.reserve(commodities.size());
-    for (const CommodityPaths& cp : commodities) {
-      std::vector<double> weights(cp.paths.size());
-      for (std::size_t p = 0; p < cp.paths.size(); ++p) weights[p] = cp.paths[p].weight;
-      auto fractions = snap_to_unit_fractions(weights, options.chunking);
-      // Scale by the commodity's shard multiple so chunks tile
-      // [0, snap_demand(demand)); multiplying by snap_demand(1) == 1 leaves
-      // unit-demand commodities untouched.
-      const Rational w_r = snap_demand(cp.demand, options.chunking);
-      for (auto& f : fractions) f = f * w_r;
-      fraction_sets.push_back(std::move(fractions));
+    std::vector<std::vector<double>> weights(commodities.size());
+    std::vector<double> demands(commodities.size());
+    for (std::size_t c = 0; c < commodities.size(); ++c) {
+      for (const WeightedPath& wp : commodities[c].paths) {
+        weights[c].push_back(wp.weight);
+      }
+      demands[c] = commodities[c].demand;
     }
+    // Chunks tile [0, snap_demand(demand)) per commodity.
+    fraction_sets =
+        snap_commodity_fractions(weights, demands, options.chunking);
   }
   const Rational unit = fractions_hcf(fraction_sets);
   std::vector<std::vector<PendingChunk>> per_commodity;

@@ -23,7 +23,8 @@ struct PendingRoute {
 PathSchedule compile_from_fraction_sets(const DiGraph& g,
                                         const std::vector<PendingRoute>& routes,
                                         const ChunkingOptions& options) {
-  // Group route weights by commodity, snap each commodity to unit fractions.
+  // Group route weights by commodity, then snap each commodity's routes to
+  // shard fractions summing to its demand share.
   std::vector<std::vector<Rational>> fraction_sets;
   std::vector<std::vector<std::size_t>> route_of;  // indices into `routes`
   std::map<std::pair<NodeId, NodeId>, std::size_t> commodity_slot;
@@ -45,15 +46,8 @@ PathSchedule compile_from_fraction_sets(const DiGraph& g,
     A2A_TRACE_SPAN("stage.chunk",
                    "snap " + std::to_string(weight_sets.size()) +
                        " commodities to unit fractions");
-    fraction_sets.reserve(weight_sets.size());
-    for (std::size_t c = 0; c < weight_sets.size(); ++c) {
-      auto fractions = snap_to_unit_fractions(weight_sets[c], options);
-      // Scale to the commodity's shard multiple; snap_demand(1) == 1 keeps
-      // unit-demand commodities untouched.
-      const Rational w_r = snap_demand(commodity_demand[c], options);
-      for (auto& f : fractions) f = f * w_r;
-      fraction_sets.push_back(std::move(fractions));
-    }
+    fraction_sets =
+        snap_commodity_fractions(weight_sets, commodity_demand, options);
   }
   const Rational unit = fractions_hcf(fraction_sets);
 

@@ -157,7 +157,7 @@ TEST(FuzzDemands, SolverTiersAgreeOnRandomDemandMatrices) {
         solve_link_mcf_exact(g, terminals, {}, nullptr, LpWarmMode::kAuto,
                              &demand);
     ASSERT_GT(exact.concurrent_flow, 0.0);
-    check_weighted_feasible(g, exact, demand);
+    ASSERT_NO_FATAL_FAILURE(check_weighted_feasible(g, exact, demand));
 
     // Decomposed (grouped master LP + combinatorial children) must reach
     // the same optimum: grouping commodities by source loses nothing.
@@ -167,7 +167,7 @@ TEST(FuzzDemands, SolverTiersAgreeOnRandomDemandMatrices) {
         solve_decomposed_mcf(g, terminals, options, nullptr, nullptr, &demand);
     ASSERT_NEAR(decomposed.concurrent_flow, exact.concurrent_flow,
                 1e-4 * std::max(1.0, exact.concurrent_flow));
-    check_weighted_feasible(g, decomposed, demand);
+    ASSERT_NO_FATAL_FAILURE(check_weighted_feasible(g, decomposed, demand));
 
     // Fleischer's grouped FPTAS: feasible (never above the optimum), its
     // dual bound never below it, and within its approximation guarantee.

@@ -11,6 +11,7 @@
 // A2A_FUZZ_ITERS overrides the iteration count for longer soak runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -24,10 +25,6 @@
 #include "graph/topologies.hpp"
 #include "schedbin_corpus.hpp"
 
-#ifndef A2A_SOURCE_DIR
-#define A2A_SOURCE_DIR "."
-#endif
-
 namespace a2a {
 namespace {
 
@@ -37,23 +34,19 @@ namespace fs = std::filesystem;
 /// word_count" mutants exercise the budget rejection path.
 constexpr std::uint64_t kSmallBudget = 1u << 20;
 
+/// Every frame checked in under the corpus dir: the golden v1/v2 seeds
+/// plus any regression cases from past fuzz findings. Sorted by name so the
+/// mutation sequence does not depend on directory order.
 std::vector<std::string> load_seeds() {
-  std::vector<std::string> seeds;
-  // In-process deterministic seeds (also the generator of the checked-in
-  // corpus, so both stay in lockstep)...
-  for (auto& frame : corpus::corpus_frames()) {
-    seeds.push_back(std::move(frame.bytes));
-  }
-  // ...plus whatever extra frames are checked in under the corpus dir
-  // (regression cases from past fuzz findings land there).
-  const fs::path dir = fs::path(A2A_SOURCE_DIR) / "tests" / "corpus" / "schedbin";
+  std::vector<fs::path> files;
   std::error_code ec;
-  for (const auto& de : fs::directory_iterator(dir, ec)) {
-    if (!de.is_regular_file(ec)) continue;
-    std::ifstream in(de.path(), std::ios::binary);
-    if (!in.good()) continue;
-    seeds.emplace_back(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
+  for (const auto& de : fs::directory_iterator(corpus::corpus_dir(), ec)) {
+    if (de.is_regular_file(ec)) files.push_back(de.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> seeds;
+  for (const fs::path& file : files) {
+    seeds.push_back(corpus::read_corpus_file(file.filename().string()));
   }
   return seeds;
 }
@@ -191,7 +184,8 @@ std::string mutate(const std::vector<std::string>& seeds, Rng& rng) {
 
 TEST(FuzzSchedBin, SmokeSeededMutations) {
   const std::vector<std::string> seeds = load_seeds();
-  ASSERT_FALSE(seeds.empty());
+  ASSERT_GE(seeds.size(), corpus::corpus_v2_frames().size() +
+                              corpus::corpus_v1_seeds().size());
   // Sanity: every pristine seed decodes.
   for (const std::string& seed : seeds) {
     EXPECT_NO_THROW((void)schedbin_inspect(seed));
@@ -225,17 +219,18 @@ TEST(FuzzSchedBin, SmokeSeededMutations) {
       // survive a re-encode round trip.
       if (info.kind == SchedBinKind::kLink) {
         const LinkSchedule sched =
-            link_schedule_from_schedbin(mutant, nullptr, budget);
+            SchedBinReader::from_bytes(mutant, budget).read_link();
         SchedBinOptions re;
         re.codec = info.codec;
         const std::string bytes = link_schedule_to_schedbin(sched, re);
-        const LinkSchedule again = link_schedule_from_schedbin(bytes);
+        const LinkSchedule again =
+            SchedBinReader::from_bytes(bytes).read_link();
         ASSERT_EQ(again.transfers.size(), sched.transfers.size());
       } else {
         // Mutant route words rarely resolve against any real topology;
         // a clean InvalidArgument is fine, a crash is not.
         try {
-          (void)path_schedule_from_schedbin(cube, mutant, nullptr, budget);
+          (void)SchedBinReader::from_bytes(mutant, budget).read_path(cube);
         } catch (const Error&) {
         }
       }

@@ -1,14 +1,19 @@
-// Deterministic SchedBin seed-frame corpus, shared by the golden-stability
-// tests and the fuzz harness.
+// SchedBin golden corpus, shared by the golden-stability tests and the fuzz
+// harness.
 //
-// Every frame here is a pure function of fixed Rng seeds and the codecs —
-// no LP/MCF pipeline involved — so the checked-in files under
-// tests/corpus/schedbin/ must stay byte-identical to what this header
-// generates on any compiler. That pins the wire format: a writer change
-// that alters any emitted byte fails the golden test instead of silently
-// orphaning every artifact in the fleet's caches.
+// The checked-in files under tests/corpus/schedbin/ pin the wire format.
+// Every v2 frame is a pure function of fixed Rng seeds and the codecs — no
+// LP/MCF pipeline involved — so corpus_v2_frames() must regenerate the v2
+// files byte-identically on any compiler: a writer change that alters any
+// emitted byte fails the golden test instead of silently orphaning every
+// artifact in the fleet's caches. The v1 files come from the retired v1
+// writer; they stay on disk as the read-compatibility fixture, and
+// corpus_v1_seeds() names the generator schedule each one decodes to.
 #pragma once
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +23,22 @@
 #include "graph/topologies.hpp"
 #include "schedule/schedule.hpp"
 
+#ifndef A2A_SOURCE_DIR
+#define A2A_SOURCE_DIR "."
+#endif
+
 namespace a2a::corpus {
+
+inline std::filesystem::path corpus_dir() {
+  return std::filesystem::path(A2A_SOURCE_DIR) / "tests" / "corpus" /
+         "schedbin";
+}
+
+/// Bytes of one checked-in corpus file; empty when it is missing.
+inline std::string read_corpus_file(const std::string& name) {
+  std::ifstream in(corpus_dir() / name, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 /// A random (not necessarily valid) link schedule exercising negative ids,
 /// large rationals, and repeated values.
@@ -73,33 +93,36 @@ inline PathSchedule random_path_schedule(const DiGraph& g, Rng& rng,
   return s;
 }
 
+/// The schedules the corpus frames carry.
+inline LinkSchedule corpus_link_schedule() {
+  Rng rng(101);
+  return random_link_schedule(rng, 300);
+}
+inline DiGraph corpus_path_graph() { return make_hypercube(4); }
+inline PathSchedule corpus_path_schedule() {
+  Rng rng(202);
+  return random_path_schedule(corpus_path_graph(), rng, 200);
+}
+
 struct CorpusFrame {
   std::string name;   ///< file basename under tests/corpus/schedbin/.
   std::string bytes;  ///< the container.
 };
 
-/// The seed frames: both kinds, both versions, every codec, single- and
-/// multi-chunk, empty, and metadata-carrying.
-inline std::vector<CorpusFrame> corpus_frames() {
+/// The v2 seed frames: both kinds, every codec, single- and multi-chunk,
+/// empty, and metadata-carrying.
+inline std::vector<CorpusFrame> corpus_v2_frames() {
   std::vector<CorpusFrame> frames;
   const auto add = [&](std::string name, std::string bytes) {
     frames.push_back({std::move(name), std::move(bytes)});
   };
-
-  Rng link_rng(101);
-  const LinkSchedule link = random_link_schedule(link_rng, 300);
   {
     SchedBinOptions o;
-    o.version = kSchedBinVersion1;
-    o.codec = SchedBinCodec::kDelta;
-    o.chunk_words = 256;
-    add("link_v1_delta.schedbin", link_schedule_to_schedbin(link, o));
-    o.codec = SchedBinCodec::kRle;
-    add("link_v1_rle.schedbin", link_schedule_to_schedbin(link, o));
-    o.version = kSchedBinVersion2;
     o.codec = SchedBinCodec::kDict;
+    o.chunk_words = 256;
     o.metadata = {{"origin", "corpus"}, {"note", "seed frame"}};
-    add("link_v2_dict.schedbin", link_schedule_to_schedbin(link, o));
+    add("link_v2_dict.schedbin",
+        link_schedule_to_schedbin(corpus_link_schedule(), o));
   }
   {
     Rng big_rng(103);
@@ -117,22 +140,34 @@ inline std::vector<CorpusFrame> corpus_frames() {
     o.codec = SchedBinCodec::kRaw;
     add("link_v2_raw_empty.schedbin", link_schedule_to_schedbin(empty, o));
   }
-
-  const DiGraph cube = make_hypercube(4);
-  Rng path_rng(202);
-  const PathSchedule path = random_path_schedule(cube, path_rng, 200);
   {
     SchedBinOptions o;
-    o.version = kSchedBinVersion1;
-    o.codec = SchedBinCodec::kDelta;
-    o.chunk_words = 128;
-    add("path_v1_delta.schedbin", path_schedule_to_schedbin(cube, path, o));
-    o.version = kSchedBinVersion2;
     o.codec = SchedBinCodec::kDict;
+    o.chunk_words = 128;
     o.metadata = {{"origin", "corpus"}};
-    add("path_v2_dict.schedbin", path_schedule_to_schedbin(cube, path, o));
+    add("path_v2_dict.schedbin",
+        path_schedule_to_schedbin(corpus_path_graph(), corpus_path_schedule(),
+                                  o));
   }
   return frames;
+}
+
+/// A checked-in v1 frame and the v1 writer settings it was made with.
+struct V1Seed {
+  std::string name;   ///< file basename under tests/corpus/schedbin/.
+  SchedBinKind kind;  ///< decodes to corpus_{link,path}_schedule().
+  SchedBinCodec codec;
+  std::uint32_t chunk_words;
+};
+
+inline std::vector<V1Seed> corpus_v1_seeds() {
+  return {
+      {"link_v1_delta.schedbin", SchedBinKind::kLink, SchedBinCodec::kDelta,
+       256},
+      {"link_v1_rle.schedbin", SchedBinKind::kLink, SchedBinCodec::kRle, 256},
+      {"path_v1_delta.schedbin", SchedBinKind::kPath, SchedBinCodec::kDelta,
+       128},
+  };
 }
 
 }  // namespace a2a::corpus

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 
 #include "common/error.hpp"
 #include "core/api.hpp"
 #include "graph/topologies.hpp"
 #include "runtime/ct_simulator.hpp"
+#include "schedule/chunking.hpp"
 #include "schedule/validate.hpp"
 
 namespace a2a {
@@ -237,6 +240,42 @@ TEST(Collective, ComposedAllReduceScheduleIsNoFasterThanEitherStage) {
   // The composition carries both stages' bytes, so it cannot beat a stage.
   EXPECT_GE(ar_s, rs_s * (1.0 - 1e-9));
   EXPECT_GE(ar_s, ag_s * (1.0 - 1e-9));
+}
+
+TEST(Collective, SkewedDemandKeepsChunkCountsBounded) {
+  // zipf:1.2 on GenKautz(27,4) oneCCL (decomposed MCF + pipelined unroll).
+  // Chunking used to scale k/D route fractions by j/D demand shares, so the
+  // chunk unit fell to 1/D^2 and the unroll ran for minutes. Each commodity
+  // must now get at most D·snap_demand(w) chunks.
+  const DiGraph g = make_generalized_kautz(27, 4);
+  ToolchainOptions options;
+  options.workload.demand = DemandSpec::parse("zipf:1.2");
+  const GeneratedSchedule result =
+      synthesize_schedule(g, cpu_oneccl_fabric(), options);
+  ASSERT_TRUE(result.link.has_value());
+  const int n = static_cast<int>(result.terminals.size());
+  const DemandMatrix demand = effective_demand(options.workload, n);
+  const ValidationResult validation = validate_link_schedule(
+      result.schedule_graph, *result.link, result.terminals, &demand);
+  ASSERT_TRUE(validation.ok)
+      << (validation.errors.empty() ? "" : validation.errors.front());
+
+  std::map<NodeId, int> terminal_index;
+  for (int i = 0; i < n; ++i) {
+    terminal_index[result.terminals[static_cast<std::size_t>(i)]] = i;
+  }
+  std::map<std::pair<NodeId, NodeId>, std::set<Rational>> chunks;
+  for (const Transfer& t : result.link->transfers) {
+    chunks[{t.chunk.src, t.chunk.dst}].insert(t.chunk.lo);
+  }
+  const Rational D(options.chunking.max_denominator);
+  for (const auto& [pair, los] : chunks) {
+    const double w =
+        demand.at(terminal_index.at(pair.first), terminal_index.at(pair.second));
+    const Rational bound = D * snap_demand(w, options.chunking);
+    EXPECT_LE(Rational(static_cast<std::int64_t>(los.size())), bound)
+        << pair.first << "->" << pair.second;
+  }
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST(SchedBin, EmptyLinkScheduleRoundTripsUnderEveryCodec) {
     SchedBinOptions options;
     options.codec = codec;
     const std::string bytes = link_schedule_to_schedbin(empty, options);
-    expect_link_equal(link_schedule_from_schedbin(bytes), empty);
+    expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), empty);
     const SchedBinInfo info = schedbin_inspect(bytes);
     EXPECT_EQ(info.kind, SchedBinKind::kLink);
     EXPECT_EQ(info.record_count, 0u);
@@ -156,7 +156,7 @@ TEST(SchedBin, EmptyPathScheduleRoundTripsUnderEveryCodec) {
     SchedBinOptions options;
     options.codec = codec;
     const std::string bytes = path_schedule_to_schedbin(g, empty, options);
-    expect_path_equal(path_schedule_from_schedbin(g, bytes), empty);
+    expect_path_equal(SchedBinReader::from_bytes(bytes).read_path(g), empty);
   }
 }
 
@@ -173,8 +173,8 @@ TEST(SchedBin, SingleTransferRoundTrips) {
   for (const SchedBinCodec codec : kAllCodecs) {
     SchedBinOptions options;
     options.codec = codec;
-    expect_link_equal(
-        link_schedule_from_schedbin(link_schedule_to_schedbin(s, options)), s);
+    const std::string bytes = link_schedule_to_schedbin(s, options);
+    expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), s);
   }
 }
 
@@ -186,9 +186,8 @@ TEST(SchedBin, RandomLinkSchedulesRoundTripUnderEveryCodec) {
       SchedBinOptions options;
       options.codec = codec;
       options.chunk_words = 256;  // force multiple chunks
-      expect_link_equal(
-          link_schedule_from_schedbin(link_schedule_to_schedbin(s, options)),
-          s);
+      const std::string bytes = link_schedule_to_schedbin(s, options);
+      expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), s);
     }
   }
 }
@@ -202,9 +201,8 @@ TEST(SchedBin, RandomPathSchedulesRoundTripUnderEveryCodec) {
       SchedBinOptions options;
       options.codec = codec;
       options.chunk_words = 128;
-      expect_path_equal(
-          path_schedule_from_schedbin(g, path_schedule_to_schedbin(g, s, options)),
-          s);
+      const std::string bytes = path_schedule_to_schedbin(g, s, options);
+      expect_path_equal(SchedBinReader::from_bytes(bytes).read_path(g), s);
     }
   }
 }
@@ -214,7 +212,7 @@ TEST(SchedBin, CompiledScheduleRoundTripsAndStillValidates) {
   const auto ts = solve_tsmcf_exact(g, 3, all_nodes(g));
   const LinkSchedule sched = compile_tsmcf_schedule(g, ts);
   const std::string bytes = link_schedule_to_schedbin(sched);
-  const LinkSchedule parsed = link_schedule_from_schedbin(bytes);
+  const LinkSchedule parsed = SchedBinReader::from_bytes(bytes).read_link();
   expect_link_equal(parsed, sched);
   EXPECT_TRUE(validate_link_schedule(g, parsed, all_nodes(g)).ok);
 }
@@ -225,7 +223,7 @@ TEST(SchedBin, CompiledPathScheduleRoundTripsAndStillValidates) {
   PathSchedule sched = compile_path_schedule(g, paths_from_link_flows(g, flows));
   assign_layers(g, sched);
   const std::string bytes = path_schedule_to_schedbin(g, sched);
-  const PathSchedule parsed = path_schedule_from_schedbin(g, bytes);
+  const PathSchedule parsed = SchedBinReader::from_bytes(bytes).read_path(g);
   expect_path_equal(parsed, sched);
   EXPECT_TRUE(validate_path_schedule(g, parsed, all_nodes(g)).ok);
 }
@@ -243,7 +241,7 @@ TEST(SchedBin, ParallelAndSerialProduceIdenticalBytes) {
     const std::string a = link_schedule_to_schedbin(s, serial);
     const std::string b = link_schedule_to_schedbin(s, parallel);
     EXPECT_EQ(a, b);
-    expect_link_equal(link_schedule_from_schedbin(b, &pool), s);
+    expect_link_equal(SchedBinReader::from_bytes(b).read_link(&pool), s);
   }
 }
 
@@ -265,7 +263,8 @@ TEST(SchedBin, CorruptedPayloadFailsCrc) {
   std::string bytes = link_schedule_to_schedbin(s);
   ASSERT_GT(bytes.size(), 60u);
   bytes[bytes.size() - 1] ^= 0x40;  // flip a payload bit
-  EXPECT_THROW((void)link_schedule_from_schedbin(bytes), InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes(bytes).read_link(),
+               InvalidArgument);
   EXPECT_THROW((void)schedbin_inspect(bytes), InvalidArgument);
 }
 
@@ -273,15 +272,17 @@ TEST(SchedBin, TruncatedAndForeignBlobsRejected) {
   Rng rng(12);
   const LinkSchedule s = random_link_schedule(rng, 50);
   const std::string bytes = link_schedule_to_schedbin(s);
-  EXPECT_THROW((void)link_schedule_from_schedbin(bytes.substr(0, 20)),
+  EXPECT_THROW((void)SchedBinReader::from_bytes(bytes.substr(0, 20)),
                InvalidArgument);
-  EXPECT_THROW((void)link_schedule_from_schedbin(bytes.substr(0, bytes.size() - 3)),
-               InvalidArgument);
-  EXPECT_THROW((void)link_schedule_from_schedbin("not a schedbin at all"),
+  EXPECT_THROW(
+      (void)SchedBinReader::from_bytes(bytes.substr(0, bytes.size() - 3)),
+      InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes("not a schedbin at all"),
                InvalidArgument);
   // Kind mismatch: a link container is not a path container.
   const DiGraph g = make_ring(4);
-  EXPECT_THROW((void)path_schedule_from_schedbin(g, bytes), InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes(bytes).read_path(g),
+               InvalidArgument);
 }
 
 TEST(SchedBin, PathDecodeRejectsNonEdgeRoute) {
@@ -292,7 +293,8 @@ TEST(SchedBin, PathDecodeRejectsNonEdgeRoute) {
   ASSERT_FALSE(s.entries.empty());
   const std::string bytes = path_schedule_to_schedbin(cube, s);
   const DiGraph ring = make_ring(8);
-  EXPECT_THROW((void)path_schedule_from_schedbin(ring, bytes), InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes(bytes).read_path(ring),
+               InvalidArgument);
 }
 
 // ---- hostile / corrupt frame hardening -------------------------------------
@@ -338,7 +340,8 @@ TEST(SchedBinHardening, HugeDeclaredDecodeIsRefusedBeforeAllocation) {
                       chunk_words, payloads);
   EXPECT_LT(blob.size(), 4096u);
   EXPECT_THROW((void)schedbin_inspect(blob), InvalidArgument);
-  EXPECT_THROW((void)link_schedule_from_schedbin(blob), InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes(blob).read_link(),
+               InvalidArgument);
   // An explicit (absurd) budget lets the same container through the clamp
   // and into the ordinary decode path (which then rejects the word/record
   // mismatch) — proving the refusal above came from the budget.
@@ -364,7 +367,8 @@ TEST(SchedBinHardening, PayloadTooSmallForDeclaredWordsRejected) {
   const std::string blob =
       forge_container(SchedBinCodec::kDelta, 100, 128, {payload});
   EXPECT_THROW((void)schedbin_inspect(blob), InvalidArgument);
-  EXPECT_THROW((void)link_schedule_from_schedbin(blob), InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes(blob).read_link(),
+               InvalidArgument);
 }
 
 TEST(SchedBinHardening, RawChunkSizeMustBeExact) {
@@ -381,7 +385,8 @@ TEST(SchedBinHardening, RleRunOverflowingChunkRejected) {
   append_svarint(run, 7);
   append_uvarint(run, 1000);  // chunk declares only 16 words
   const std::string blob = forge_container(SchedBinCodec::kRle, 16, 16, {run});
-  EXPECT_THROW((void)link_schedule_from_schedbin(blob), InvalidArgument);
+  EXPECT_THROW((void)SchedBinReader::from_bytes(blob).read_link(),
+               InvalidArgument);
 }
 
 TEST(SchedBinHardening, LegitimateLargeRleStillDecodes) {
@@ -395,7 +400,7 @@ TEST(SchedBinHardening, LegitimateLargeRleStillDecodes) {
   options.codec = SchedBinCodec::kRle;
   const std::string bytes = link_schedule_to_schedbin(s, options);
   EXPECT_LT(bytes.size(), 4096u);
-  const LinkSchedule back = link_schedule_from_schedbin(bytes);
+  const LinkSchedule back = SchedBinReader::from_bytes(bytes).read_link();
   EXPECT_EQ(back.transfers.size(), s.transfers.size());
 }
 

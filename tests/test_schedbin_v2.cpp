@@ -1,6 +1,6 @@
-// SchedBin v2: property-based round trips for every codec/version, mmap
-// zero-copy chunk reads, trailer metadata, lossless conversion, and the
-// golden corpus pinning the wire format byte-for-byte.
+// SchedBin v2: property-based round trips for every codec, mmap zero-copy
+// chunk reads, trailer metadata, lossless conversion (v1 -> v2 included),
+// and the golden corpus pinning the wire format byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,10 +17,6 @@
 #include "schedule/compile_path.hpp"
 #include "schedbin_corpus.hpp"
 
-#ifndef A2A_SOURCE_DIR
-#define A2A_SOURCE_DIR "."
-#endif
-
 namespace a2a {
 namespace {
 
@@ -32,14 +28,6 @@ using corpus::random_path_schedule;
 constexpr SchedBinCodec kV2Codecs[] = {SchedBinCodec::kRaw, SchedBinCodec::kRle,
                                        SchedBinCodec::kDelta,
                                        SchedBinCodec::kDict};
-
-std::vector<SchedBinCodec> codecs_for(std::uint16_t version) {
-  if (version == kSchedBinVersion1) {
-    return {SchedBinCodec::kRaw, SchedBinCodec::kRle, SchedBinCodec::kDelta};
-  }
-  return {SchedBinCodec::kRaw, SchedBinCodec::kRle, SchedBinCodec::kDelta,
-          SchedBinCodec::kDict};
-}
 
 void expect_link_equal(const LinkSchedule& a, const LinkSchedule& b) {
   EXPECT_EQ(a.num_nodes, b.num_nodes);
@@ -86,45 +74,35 @@ struct TempFile {
   }
 };
 
-// ---- property: encode -> decode == identity, every codec, both versions ---
+// ---- property: encode -> decode == identity, every codec -----------------
 
-TEST(SchedBinV2, RandomLinkSchedulesRoundTripEveryCodecAndVersion) {
+TEST(SchedBinV2, RandomLinkSchedulesRoundTripEveryCodec) {
   Rng rng(20260730);
   for (int trial = 0; trial < 8; ++trial) {
     const LinkSchedule s = random_link_schedule(rng, rng.next_int(0, 600));
-    for (const std::uint16_t version : {kSchedBinVersion1, kSchedBinVersion2}) {
-      for (const SchedBinCodec codec :
-           codecs_for(version)) {
-        SchedBinOptions options;
-        options.version = version;
-        options.codec = codec;
-        // Vary the chunk geometry: single-chunk up to many tiny chunks.
-        options.chunk_words = trial % 2 == 0 ? 128 : 64 * 1024;
-        const std::string bytes = link_schedule_to_schedbin(s, options);
-        expect_link_equal(link_schedule_from_schedbin(bytes), s);
-        EXPECT_EQ(schedbin_inspect(bytes).version, version);
-      }
+    for (const SchedBinCodec codec : kV2Codecs) {
+      SchedBinOptions options;
+      options.codec = codec;
+      // Vary the chunk geometry: single-chunk up to many tiny chunks.
+      options.chunk_words = trial % 2 == 0 ? 128 : 64 * 1024;
+      const std::string bytes = link_schedule_to_schedbin(s, options);
+      expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), s);
+      EXPECT_EQ(schedbin_inspect(bytes).version, kSchedBinVersion2);
     }
   }
 }
 
-TEST(SchedBinV2, RandomPathSchedulesRoundTripEveryCodecAndVersion) {
+TEST(SchedBinV2, RandomPathSchedulesRoundTripEveryCodec) {
   Rng rng(77);
   const DiGraph g = make_hypercube(4);
   for (int trial = 0; trial < 8; ++trial) {
     const PathSchedule s = random_path_schedule(g, rng, rng.next_int(0, 250));
-    for (const std::uint16_t version : {kSchedBinVersion1, kSchedBinVersion2}) {
-      for (const SchedBinCodec codec :
-           codecs_for(version)) {
-        SchedBinOptions options;
-        options.version = version;
-        options.codec = codec;
-        options.chunk_words = 64 << (trial % 4);
-        expect_path_equal(
-            path_schedule_from_schedbin(
-                g, path_schedule_to_schedbin(g, s, options)),
-            s);
-      }
+    for (const SchedBinCodec codec : kV2Codecs) {
+      SchedBinOptions options;
+      options.codec = codec;
+      options.chunk_words = 64 << (trial % 4);
+      const std::string bytes = path_schedule_to_schedbin(g, s, options);
+      expect_path_equal(SchedBinReader::from_bytes(bytes).read_path(g), s);
     }
   }
 }
@@ -140,7 +118,7 @@ TEST(SchedBinV2, PathologicalAllSameRoundTrips) {
     options.codec = codec;
     options.chunk_words = 4096;
     const std::string bytes = link_schedule_to_schedbin(s, options);
-    expect_link_equal(link_schedule_from_schedbin(bytes), s);
+    expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), s);
   }
 }
 
@@ -168,7 +146,7 @@ TEST(SchedBinV2, PathologicalAllDistinctRoundTrips) {
     options.codec = codec;
     options.chunk_words = 2048;
     const std::string bytes = link_schedule_to_schedbin(s, options);
-    expect_link_equal(link_schedule_from_schedbin(bytes), s);
+    expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), s);
     if (codec == SchedBinCodec::kDelta) delta_size = bytes.size();
     if (codec == SchedBinCodec::kDict) {
       const SchedBinReader reader = SchedBinReader::from_bytes(bytes);
@@ -200,14 +178,15 @@ TEST(SchedBinV2, EmptyFramesRoundTripEveryCodec) {
     SchedBinOptions options;
     options.codec = codec;
     const std::string link_bytes = link_schedule_to_schedbin(empty, options);
-    expect_link_equal(link_schedule_from_schedbin(link_bytes), empty);
+    expect_link_equal(SchedBinReader::from_bytes(link_bytes).read_link(),
+                      empty);
     const SchedBinInfo info = schedbin_inspect(link_bytes);
     EXPECT_EQ(info.num_chunks, 0u);
     EXPECT_EQ(info.version, kSchedBinVersion2);
-    expect_path_equal(
-        path_schedule_from_schedbin(
-            ring, path_schedule_to_schedbin(ring, empty_path, options)),
-        empty_path);
+    const std::string path_bytes =
+        path_schedule_to_schedbin(ring, empty_path, options);
+    expect_path_equal(SchedBinReader::from_bytes(path_bytes).read_path(ring),
+                      empty_path);
   }
 }
 
@@ -264,18 +243,12 @@ TEST(SchedBinV2, MmapSingleChunkReadTouchesOnlyThatChunk) {
 }
 
 TEST(SchedBinV2, MmapReaderServesV1Containers) {
-  Rng rng(11);
-  const LinkSchedule s = random_link_schedule(rng, 1500);
-  SchedBinOptions options;
-  options.version = kSchedBinVersion1;
-  options.codec = SchedBinCodec::kRle;
-  options.chunk_words = 256;
-  const std::string bytes = link_schedule_to_schedbin(s, options);
-  const TempFile file("a2a_mmap_v1");
-  file.write(bytes);
-  const SchedBinReader reader = SchedBinReader::open_file(file.path.string());
+  // The checked-in v1 seed, mapped straight from the corpus directory.
+  const SchedBinReader reader = SchedBinReader::open_file(
+      (corpus::corpus_dir() / "link_v1_rle.schedbin").string());
   EXPECT_EQ(reader.info().version, kSchedBinVersion1);
-  expect_link_equal(reader.read_link(), s);
+  ASSERT_GT(reader.num_chunks(), 1u);
+  expect_link_equal(reader.read_link(), corpus::corpus_link_schedule());
   std::vector<std::int64_t> chunk;
   EXPECT_GT(reader.decode_chunk(0, chunk), 0u);
 }
@@ -302,9 +275,6 @@ TEST(SchedBinV2, MetadataRoundTrips) {
   const std::string bytes = link_schedule_to_schedbin(s, options);
   const SchedBinInfo info = schedbin_inspect(bytes);
   EXPECT_EQ(info.metadata, options.metadata);
-  // v1 frames cannot carry metadata.
-  options.version = kSchedBinVersion1;
-  EXPECT_THROW((void)link_schedule_to_schedbin(s, options), InvalidArgument);
 }
 
 TEST(SchedBinV2, MetadataLimitsEnforcedOnWrite) {
@@ -354,20 +324,18 @@ TEST(SchedBinV2, CorruptHeaderTrailerOrFooterRejected) {
 // ---- lossless conversion --------------------------------------------------
 
 TEST(SchedBinV2, ConvertPreservesScheduleAndMetadata) {
-  Rng rng(16);
-  const LinkSchedule s = random_link_schedule(rng, 800);
-  SchedBinOptions v1;
-  v1.version = kSchedBinVersion1;
-  v1.codec = SchedBinCodec::kDelta;
-  v1.chunk_words = 256;
-  const std::string v1_bytes = link_schedule_to_schedbin(s, v1);
+  const LinkSchedule s = corpus::corpus_link_schedule();
+  const std::string v1_bytes =
+      corpus::read_corpus_file("link_v1_delta.schedbin");
+  ASSERT_EQ(schedbin_inspect(v1_bytes).version, kSchedBinVersion1);
 
-  // v1 -> v2 dict: schedule identical, still no metadata to carry.
+  // v1 -> v2 dict: schedule identical, explicit stamps land in the trailer.
   SchedBinOptions up;
   up.codec = SchedBinCodec::kDict;
   up.metadata = {{"pipeline_invocation", "42"}};
   const std::string v2_bytes = schedbin_convert(v1_bytes, up);
-  expect_link_equal(link_schedule_from_schedbin(v2_bytes), s);
+  EXPECT_EQ(schedbin_inspect(v2_bytes).version, kSchedBinVersion2);
+  expect_link_equal(SchedBinReader::from_bytes(v2_bytes).read_link(), s);
   EXPECT_EQ(schedbin_inspect(v2_bytes).metadata, up.metadata);
 
   // v2 -> v2 codec change: metadata rides along without being re-stamped.
@@ -378,35 +346,20 @@ TEST(SchedBinV2, ConvertPreservesScheduleAndMetadata) {
   EXPECT_EQ(rle_info.codec, SchedBinCodec::kRle);
   EXPECT_EQ(rle_info.metadata, up.metadata)
       << "conversion must carry the source frame's metadata, not re-derive it";
-  expect_link_equal(link_schedule_from_schedbin(rle_bytes), s);
-
-  // v2 -> v1: down-level loses the trailer (and with it the metadata), but
-  // the schedule and header fields survive; converting back up round-trips.
-  SchedBinOptions down;
-  down.version = kSchedBinVersion1;
-  down.codec = SchedBinCodec::kRle;
-  const std::string down_bytes = schedbin_convert(rle_bytes, down);
-  EXPECT_EQ(schedbin_inspect(down_bytes).version, kSchedBinVersion1);
-  expect_link_equal(link_schedule_from_schedbin(down_bytes), s);
-  // Identical geometry + codec as the original direct v1 encode: the
-  // conversion chain is lossless down to the byte level.
-  EXPECT_EQ(schedbin_convert(down_bytes, v1), v1_bytes);
+  expect_link_equal(SchedBinReader::from_bytes(rle_bytes).read_link(), s);
 }
 
 TEST(SchedBinV2, ConvertPathFramesWithoutTopology) {
   // Conversion transcodes the word stream: no DiGraph needed even for path
   // frames, and the route node sequences survive untouched.
-  const DiGraph g = make_hypercube(3);
-  Rng rng(17);
-  const PathSchedule s = random_path_schedule(g, rng, 120);
-  SchedBinOptions v1;
-  v1.version = kSchedBinVersion1;
-  v1.codec = SchedBinCodec::kRle;
-  const std::string v1_bytes = path_schedule_to_schedbin(g, s, v1);
+  const PathSchedule s = corpus::corpus_path_schedule();
+  const std::string v1_bytes =
+      corpus::read_corpus_file("path_v1_delta.schedbin");
   SchedBinOptions up;
   up.codec = SchedBinCodec::kDict;
   const std::string v2_bytes = schedbin_convert(v1_bytes, up);
-  expect_path_equal(path_schedule_from_schedbin(g, v2_bytes), s);
+  const DiGraph g = corpus::corpus_path_graph();
+  expect_path_equal(SchedBinReader::from_bytes(v2_bytes).read_path(g), s);
   const SchedBinInfo info = schedbin_inspect(v2_bytes);
   EXPECT_EQ(info.kind, SchedBinKind::kPath);
   EXPECT_EQ(info.chunk_unit, s.chunk_unit);
@@ -437,9 +390,9 @@ TEST(SchedBinV2, DictBeatsRleAndDeltaOnRepetitivePathSchedules) {
 // ---- golden corpus --------------------------------------------------------
 
 TEST(SchedBinV2, CorpusFilesAreByteStableAndDecode) {
-  const fs::path dir = fs::path(A2A_SOURCE_DIR) / "tests" / "corpus" / "schedbin";
+  const fs::path dir = corpus::corpus_dir();
   const bool update = std::getenv("A2A_UPDATE_CORPUS") != nullptr;
-  for (const auto& frame : corpus::corpus_frames()) {
+  for (const auto& frame : corpus::corpus_v2_frames()) {
     const fs::path file = dir / frame.name;
     if (update) {
       fs::create_directories(dir);
@@ -448,16 +401,42 @@ TEST(SchedBinV2, CorpusFilesAreByteStableAndDecode) {
                 static_cast<std::streamsize>(frame.bytes.size()));
       continue;
     }
-    std::ifstream in(file, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing corpus seed " << file
-                           << " (regenerate with A2A_UPDATE_CORPUS=1)";
-    std::string on_disk((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+    const std::string on_disk = corpus::read_corpus_file(frame.name);
+    ASSERT_FALSE(on_disk.empty()) << "missing corpus seed " << file
+                                  << " (regenerate with A2A_UPDATE_CORPUS=1)";
     // Byte-for-byte: a writer change that alters the wire format must be a
-    // deliberate version bump, not an accident — and v1 seeds double as the
-    // "old fleet artifacts still decode unchanged under v2 readers" proof.
+    // deliberate version bump, not an accident.
     EXPECT_EQ(on_disk, frame.bytes) << frame.name << " drifted";
     EXPECT_NO_THROW((void)schedbin_inspect(on_disk)) << frame.name;
+  }
+  // The v1 seeds have no writer left to regenerate them: they are the
+  // "old fleet artifacts still decode under today's readers" proof. Each
+  // must inspect, decode through the reader to its generator schedule, and
+  // upgrade to exactly the v2 frame the writer makes from that schedule.
+  const DiGraph cube = corpus::corpus_path_graph();
+  for (const corpus::V1Seed& seed : corpus::corpus_v1_seeds()) {
+    SCOPED_TRACE(seed.name);
+    const std::string on_disk = corpus::read_corpus_file(seed.name);
+    ASSERT_FALSE(on_disk.empty()) << "missing corpus seed " << seed.name;
+    const SchedBinInfo info = schedbin_inspect(on_disk);
+    EXPECT_EQ(info.version, kSchedBinVersion1);
+    EXPECT_EQ(info.kind, seed.kind);
+    EXPECT_EQ(info.codec, seed.codec);
+    EXPECT_EQ(info.chunk_words, seed.chunk_words);
+    SchedBinOptions options;
+    options.codec = seed.codec;
+    options.chunk_words = seed.chunk_words;
+    const SchedBinReader reader = SchedBinReader::from_bytes(on_disk);
+    const std::string upgraded = schedbin_convert(on_disk, options);
+    if (seed.kind == SchedBinKind::kLink) {
+      const LinkSchedule s = corpus::corpus_link_schedule();
+      expect_link_equal(reader.read_link(), s);
+      EXPECT_EQ(upgraded, link_schedule_to_schedbin(s, options));
+    } else {
+      const PathSchedule s = corpus::corpus_path_schedule();
+      expect_path_equal(reader.read_path(cube), s);
+      EXPECT_EQ(upgraded, path_schedule_to_schedbin(cube, s, options));
+    }
   }
 }
 

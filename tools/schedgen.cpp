@@ -70,7 +70,6 @@ struct Args {
   bool stats = false;
   bool report_only = false;
   bool mmap = false;
-  bool schedbin_v1 = false;
 };
 
 void usage() {
@@ -90,13 +89,12 @@ void usage() {
       "  --output FILE     write the schedule here (default: stdout)\n"
       "  --format FMT      xml|schedbin (default: xml)\n"
       "  --codec NAME      schedbin codec: raw|rle|delta|dict (default: delta)\n"
-      "  --schedbin-v1     write SchedBin format v1 (no trailer/dict/metadata)\n"
       "  --cache-dir DIR   serve repeat requests from a schedule cache here\n"
       "  --convert IN OUT  convert between formats. xml<->schedbin is inferred\n"
       "                    from content (path schedules need the topology\n"
-      "                    flags); a schedbin input with --format schedbin is\n"
-      "                    transcoded losslessly to the requested codec/\n"
-      "                    version, carrying the frame metadata through\n"
+      "                    flags); a schedbin input (v1 or v2) with --format\n"
+      "                    schedbin is transcoded losslessly to a v2 frame in\n"
+      "                    the requested codec, carrying the metadata through\n"
       "  --inspect FILE    print a SchedBin container's header, metadata and\n"
       "                    chunk directory, then exit\n"
       "  --mmap            read --inspect/--convert input via mmap instead\n"
@@ -165,7 +163,6 @@ bool is_schedbin(std::string_view bytes) {
 SchedBinOptions bin_options_from(const Args& args, ThreadPool* pool) {
   SchedBinOptions options;
   options.codec = codec_from_name(args.codec);
-  options.version = args.schedbin_v1 ? kSchedBinVersion1 : kSchedBinVersion2;
   options.pool = pool;
   return options;
 }
@@ -283,7 +280,7 @@ int run_inspect(const Args& args) {
 /// Format conversion. xml<->schedbin direction is inferred from the input
 /// content (path schedules resolve their routes against the topology built
 /// from the usual flags); a schedbin input with --format schedbin is
-/// transcoded to the requested codec/version without touching the word
+/// transcoded to a v2 frame in the requested codec without touching the word
 /// stream, carrying the source frame's metadata through losslessly instead
 /// of re-deriving provenance from this invocation.
 int run_convert(const Args& args) {
@@ -302,19 +299,15 @@ int run_convert(const Args& args) {
   if (is_schedbin(input)) {
     if (args.format == "schedbin") {
       output = schedbin_convert(input, bin_options_from(args, &pool));
-      std::cerr << "schedbin -> schedbin (" << args.codec << ", v"
-                << (args.schedbin_v1 ? 1 : 2)
-                << (args.schedbin_v1 ? ", metadata dropped — v1 cannot carry it"
-                                     : ", metadata preserved")
-                << ")\n";
+      std::cerr << "schedbin -> schedbin (" << args.codec
+                << ", v2, metadata preserved)\n";
     } else {
-      const SchedBinInfo info = schedbin_inspect(input);
-      if (info.kind == SchedBinKind::kLink) {
-        output = link_schedule_to_xml(link_schedule_from_schedbin(input, &pool));
+      const SchedBinReader reader = SchedBinReader::from_bytes(input);
+      if (reader.info().kind == SchedBinKind::kLink) {
+        output = link_schedule_to_xml(reader.read_link(&pool));
       } else {
         const DiGraph g = build_topology(args);
-        output =
-            path_schedule_to_xml(g, path_schedule_from_schedbin(g, input, &pool));
+        output = path_schedule_to_xml(g, reader.read_path(g, &pool));
       }
       std::cerr << "schedbin -> xml\n";
     }
@@ -454,7 +447,6 @@ int main(int argc, char** argv) {
     else if (flag == "--metrics") args.metrics_file = value();
     else if (flag == "--stats") args.stats = true;
     else if (flag == "--mmap") args.mmap = true;
-    else if (flag == "--schedbin-v1") args.schedbin_v1 = true;
     else if (flag == "--report-only") args.report_only = true;
     else if (flag == "--help" || flag == "-h") {
       usage();
@@ -541,16 +533,14 @@ int main(int argc, char** argv) {
 
     ThreadPool pool;
     SchedBinOptions bin_options = bin_options_from(args, &pool);
-    if (!args.schedbin_v1) {
-      // Provenance stamps carried in the v2 trailer; --convert transcodes
-      // preserve them instead of re-deriving from the converting process.
-      bin_options.metadata = {
-          {"generator", "a2a-schedgen"},
-          {"topology", args.topology},
-          {"fabric", args.fabric},
-          {"pipeline_invocation", std::to_string(pipeline_invocations())},
-      };
-    }
+    // Provenance stamps carried in the v2 trailer; --convert transcodes
+    // preserve them instead of re-deriving from the converting process.
+    bin_options.metadata = {
+        {"generator", "a2a-schedgen"},
+        {"topology", args.topology},
+        {"fabric", args.fabric},
+        {"pipeline_invocation", std::to_string(pipeline_invocations())},
+    };
 
     // Validate against the workload's demand matrix (sized to the pipeline's
     // terminal set — hosts when augmentation ran); nullptr keeps the exact
