@@ -88,22 +88,38 @@ struct Comparison {
   }
 };
 
+/// Each leg's time is the minimum of 3 solves: the smoke gate compares two
+/// legs, and a single timed solve on a shared box can lose 20% or more to
+/// scheduler jitter. The solver is deterministic, so the objective and
+/// iteration count are the same on every repetition.
+template <typename Solve>
+LpSolution fastest_of_3(const Solve& solve) {
+  LpSolution best = solve();
+  for (int r = 1; r < 3; ++r) {
+    LpSolution next = solve();
+    if (next.solve_seconds < best.solve_seconds) best = std::move(next);
+  }
+  return best;
+}
+
 Comparison compare(const std::string& name, const LpModel& model) {
   Comparison c;
   c.name = name;
-  const LpSolution dense = solve_lp_dense(model);
+  const LpSolution dense = fastest_of_3([&] { return solve_lp_dense(model); });
   c.dense_seconds = dense.solve_seconds;
   c.dense_objective = dense.objective;
   c.dense_iterations = dense.iterations;
-  const LpSolution legacy = solve_lp(model, legacy_options());
+  const LpSolution legacy =
+      fastest_of_3([&] { return solve_lp(model, legacy_options()); });
   c.legacy_seconds = legacy.solve_seconds;
   c.legacy_objective = legacy.objective;
   c.legacy_iterations = legacy.iterations;
-  const LpSolution ft = solve_lp(model, ft_only_options());
+  const LpSolution ft =
+      fastest_of_3([&] { return solve_lp(model, ft_only_options()); });
   c.ft_seconds = ft.solve_seconds;
   c.ft_objective = ft.objective;
   c.ft_iterations = ft.iterations;
-  const LpSolution sparse = solve_lp(model);
+  const LpSolution sparse = fastest_of_3([&] { return solve_lp(model); });
   c.sparse_seconds = sparse.solve_seconds;
   c.sparse_objective = sparse.objective;
   c.sparse_iterations = sparse.iterations;

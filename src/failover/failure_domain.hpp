@@ -80,8 +80,8 @@ struct FailureDomainOptions {
 /// LP-shape-preserving view of the failure: every healthy edge kept, failed
 /// capacities collapsed to `collapsed_capacity`. A pMCF model built on this
 /// graph has identical rows/columns to the healthy model, so the healthy
-/// optimal basis stays dual feasible and a dual-simplex re-solve converges
-/// in a handful of pivots.
+/// optimal basis stays dual feasible (see solve_path_mcf_exact) and a
+/// dual-simplex re-solve takes a fraction of a cold solve's pivots.
 [[nodiscard]] DiGraph collapsed_topology(const DiGraph& g,
                                          const FailureSignature& sig,
                                          double collapsed_capacity = 1e-7);

@@ -228,17 +228,22 @@ std::vector<Path> edge_disjoint_paths(const DiGraph& g, NodeId s, NodeId t,
     }
     ++flow;
   }
-  // Decompose the used-edge set into paths by walking from s.
+  // Decompose the used-edge set into paths by walking from s. The set may
+  // hold circulations besides the s->t flow; a walk that revisits a node has
+  // gone round one, so the loop is cut (its edges carry no s->t flow).
   std::vector<std::vector<EdgeId>> used_out(static_cast<std::size_t>(g.num_nodes()));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (used[static_cast<std::size_t>(e)]) {
       used_out[static_cast<std::size_t>(g.edge(e).from)].push_back(e);
     }
   }
+  // depth[v] = number of edges of the current walk before it reached v.
+  std::vector<int> depth(static_cast<std::size_t>(g.num_nodes()), -1);
   std::vector<Path> paths;
   for (int i = 0; i < flow; ++i) {
     Path p;
     NodeId at = s;
+    depth[static_cast<std::size_t>(s)] = 0;
     while (at != t) {
       auto& outs = used_out[static_cast<std::size_t>(at)];
       A2A_ASSERT(!outs.empty(), "flow decomposition stuck at node ", at);
@@ -246,7 +251,17 @@ std::vector<Path> edge_disjoint_paths(const DiGraph& g, NodeId s, NodeId t,
       outs.pop_back();
       p.push_back(e);
       at = g.edge(e).to;
+      const int seen_at = depth[static_cast<std::size_t>(at)];
+      if (seen_at >= 0) {
+        for (std::size_t j = static_cast<std::size_t>(seen_at); j < p.size(); ++j) {
+          depth[static_cast<std::size_t>(g.edge(p[j]).to)] = -1;
+        }
+        p.resize(static_cast<std::size_t>(seen_at));
+      }
+      depth[static_cast<std::size_t>(at)] = static_cast<int>(p.size());
     }
+    depth[static_cast<std::size_t>(s)] = -1;
+    for (const EdgeId e : p) depth[static_cast<std::size_t>(g.edge(e).to)] = -1;
     paths.push_back(std::move(p));
   }
   return paths;

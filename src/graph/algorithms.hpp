@@ -56,9 +56,9 @@ struct DijkstraTree {
 [[nodiscard]] DijkstraTree dijkstra_tree(const DiGraph& g, NodeId s,
                                          const std::vector<double>& length);
 
-/// Maximal set of pairwise edge-disjoint s->t paths (unit-capacity max-flow
-/// with BFS augmentation, then path decomposition). Used for the pMCF
-/// disjoint candidate sets (§3.1.4).
+/// Maximal set of pairwise edge-disjoint simple s->t paths (unit-capacity
+/// max-flow with BFS augmentation, then path decomposition). Used for the
+/// pMCF disjoint candidate sets (§3.1.4).
 [[nodiscard]] std::vector<Path> edge_disjoint_paths(const DiGraph& g, NodeId s,
                                                     NodeId t,
                                                     int max_paths = -1);

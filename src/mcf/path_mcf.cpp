@@ -76,8 +76,12 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
                                     LpWarmMode warm_mode, bool throw_on_fail) {
   const std::size_t K = paths.commodities.size();
   A2A_REQUIRE(K >= 1, "empty path set");
-  LpModel model(Sense::kMaximize);
-  // One variable per (commodity, candidate), then F.
+  // Min-congestion form: route each demand in full and minimize λ, the
+  // worst link load per unit capacity; F = 1/λ*. λ's column touches only
+  // the capacity rows, while F's column in the max-F form has an entry in
+  // every demand row and slows every pivot.
+  LpModel model(Sense::kMinimize);
+  // One variable y_kp per (commodity, candidate), then λ.
   std::vector<int> first_var(K);
   for (std::size_t k = 0; k < K; ++k) {
     first_var[k] = model.num_variables();
@@ -85,13 +89,15 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
       model.add_variable(0.0, kInfinity, 0.0);
     }
   }
-  const int f_var = model.add_variable(0.0, kInfinity, 1.0);
+  const int lambda_var = model.add_variable(0.0, kInfinity, 1.0);
 
-  // (22) capacity rows, built edge-major from the path incidences.
+  // (22) capacity rows Σ_{p∋e} y_kp − cap_e·λ ≤ 0, built edge-major from
+  // the path incidences.
   std::vector<int> cap_row(static_cast<std::size_t>(g.num_edges()), -1);
   for (int e = 0; e < g.num_edges(); ++e) {
-    cap_row[static_cast<std::size_t>(e)] =
-        model.add_row(RowType::kLessEqual, g.edge(e).capacity);
+    cap_row[static_cast<std::size_t>(e)] = model.add_row(RowType::kLessEqual, 0.0);
+    model.add_coefficient(cap_row[static_cast<std::size_t>(e)], lambda_var,
+                          -g.edge(e).capacity);
   }
   for (std::size_t k = 0; k < K; ++k) {
     for (std::size_t p = 0; p < paths.candidates[k].size(); ++p) {
@@ -100,12 +106,11 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
         model.add_coefficient(cap_row[static_cast<std::size_t>(e)], v, 1.0);
       }
     }
-    // (23) demand row: path flow >= d_k · F (d_k == 1 when unweighted).
-    const int row = model.add_row(RowType::kGreaterEqual, 0.0);
+    // (23) demand row: path flow == d_k (1 when unweighted).
+    const int row = model.add_row(RowType::kEqual, paths.demand_of(k));
     for (std::size_t p = 0; p < paths.candidates[k].size(); ++p) {
       model.add_coefficient(row, first_var[k] + static_cast<int>(p), 1.0);
     }
-    model.add_coefficient(row, f_var, -paths.demand_of(k));
   }
 
   const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
@@ -118,14 +123,19 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
   for (std::size_t k = 0; k < K; ++k) {
     out.weights[k].assign(paths.candidates[k].size(), 0.0);
   }
-  // A solve aborted before its first basis export carries no values; leave
-  // the zero weights for the caller's repair pass in that case.
-  if (sol.values.size() > static_cast<std::size_t>(f_var)) {
-    out.concurrent_flow = sol.values[static_cast<std::size_t>(f_var)];
+  // Scale back to the max-F form: x_kp = y_kp/λ*, so Σ_p x_kp = d_k·F. A
+  // solve aborted before its first basis export, or before λ turned
+  // positive, carries no usable values; leave the zero weights for the
+  // caller's repair pass in that case.
+  const double lambda = sol.values.size() > static_cast<std::size_t>(lambda_var)
+                            ? sol.values[static_cast<std::size_t>(lambda_var)]
+                            : 0.0;
+  if (lambda > 0.0) {
+    out.concurrent_flow = 1.0 / lambda;
     for (std::size_t k = 0; k < K; ++k) {
       for (std::size_t p = 0; p < paths.candidates[k].size(); ++p) {
         const double v =
-            sol.values[static_cast<std::size_t>(first_var[k]) + p];
+            sol.values[static_cast<std::size_t>(first_var[k]) + p] / lambda;
         out.weights[k][p] = v > 1e-10 ? v : 0.0;
       }
     }

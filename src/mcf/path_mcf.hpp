@@ -34,7 +34,19 @@ namespace a2a {
                                               bool* truncated = nullptr,
                                               const DemandMatrix* demand = nullptr);
 
-/// Exact path-based MCF LP. Result weights align with `paths.candidates`.
+/// Exact path-based MCF LP, solved in min-congestion form:
+///
+///   minimize λ  s.t.  Σ_p y_kp = d_k                 (each commodity k)
+///                     Σ_{p∋e} y_kp − cap_e·λ ≤ 0     (each edge e)
+///                     y, λ ≥ 0
+///
+/// with d_k = 1 unless PathSet::demands is set. It is the max-F LP of eqs.
+/// (21)–(24) rescaled by λ = 1/F, so the results come back in that form:
+/// concurrent_flow = 1/λ* and weights x_kp = y_kp/λ*, hence
+/// Σ_p x_kp = d_k·F and every edge load Σ_{p∋e} x_kp ≤ cap_e. λ's column
+/// sits on the capacity rows only, whereas F's column in the max-F form has
+/// an entry in every demand row. Result weights align with
+/// `paths.candidates`.
 struct PathMcfSolution {
   double concurrent_flow = 0.0;
   std::vector<std::vector<double>> weights;  ///< [commodity][candidate].
@@ -47,7 +59,12 @@ struct PathMcfSolution {
 };
 /// A non-null `warm` seeds the LP basis (when non-empty) and receives the
 /// final one — the Fig. 9 disabled-link sweep re-solves the same candidate
-/// set under perturbed capacities, so each step restarts near-optimal.
+/// set under perturbed capacities, so each step restarts from the previous
+/// optimum. That basis stays dual feasible: capacities enter only λ's
+/// column, and with λ basic the basis fixes the capacity-row duals w up to
+/// the one normalization Σ_e cap_e·w_e = 1, so new capacities rescale all
+/// duals by one positive factor and no reduced cost changes sign.
+/// LpWarmMode::kDual then re-solves with the dual simplex.
 [[nodiscard]] PathMcfSolution solve_path_mcf_exact(const DiGraph& g,
                                                    const PathSet& paths,
                                                    const SimplexOptions& lp = {},
@@ -58,7 +75,8 @@ struct PathMcfSolution {
 /// outcome (e.g. SimplexOptions::time_limit_s expired) is reported via
 /// `status` instead of thrown, with whatever primal values the solver
 /// reached. Callers must check `status` — non-optimal weights may be
-/// infeasible or all-zero and need a downstream repair/validation pass.
+/// infeasible or all-zero (always zero when the solve stopped before λ was
+/// positive) and need a downstream repair/validation pass.
 [[nodiscard]] PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g,
                                                       const PathSet& paths,
                                                       const SimplexOptions& lp = {},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hpp"
 #include "graph/topologies.hpp"
 
 namespace a2a {
@@ -93,6 +94,70 @@ TEST(GraphAlgorithms, EdgeDisjointPathsCountEqualsDegreeOnHypercube) {
 TEST(GraphAlgorithms, EdgeDisjointPathsRespectsLimit) {
   const DiGraph g = make_hypercube(3);
   EXPECT_EQ(edge_disjoint_paths(g, 0, 7, 2).size(), 2u);
+}
+
+/// Unit-capacity s->t max-flow by depth-first augmentation, independent of
+/// edge_disjoint_paths' BFS: flow[e] is 1 when arc e carries flow.
+int unit_max_flow(const DiGraph& g, NodeId s, NodeId t) {
+  std::vector<char> flow(static_cast<std::size_t>(g.num_edges()), 0);
+  int value = 0;
+  for (;;) {
+    std::vector<char> seen(static_cast<std::size_t>(g.num_nodes()), 0);
+    std::vector<EdgeId> trail;  // residual arcs taken from s
+    const auto augment = [&](const auto& self, NodeId u) -> bool {
+      if (u == t) return true;
+      seen[static_cast<std::size_t>(u)] = 1;
+      for (const EdgeId e : g.out_edges(u)) {
+        const NodeId v = g.edge(e).to;
+        if (flow[static_cast<std::size_t>(e)] || seen[static_cast<std::size_t>(v)]) continue;
+        trail.push_back(e);
+        if (self(self, v)) return true;
+        trail.pop_back();
+      }
+      for (const EdgeId e : g.in_edges(u)) {
+        const NodeId v = g.edge(e).from;
+        if (!flow[static_cast<std::size_t>(e)] || seen[static_cast<std::size_t>(v)]) continue;
+        trail.push_back(e);
+        if (self(self, v)) return true;
+        trail.pop_back();
+      }
+      return false;
+    };
+    if (!augment(augment, s)) return value;
+    for (const EdgeId e : trail) flow[static_cast<std::size_t>(e)] ^= 1;
+    ++value;
+  }
+}
+
+TEST(GraphAlgorithms, EdgeDisjointPathsAreSimpleAndMaximal) {
+  // The used-edge set of the max-flow can hold circulations; on these graphs
+  // a plain walk from s once went round one (xpander(24,4), 17->7 visited
+  // node 0 twice).
+  Rng xp24(1), xp64(1), rr64(1);
+  const std::vector<std::pair<const char*, DiGraph>> graphs = {
+      {"dragonfly(5,4,1)", make_dragonfly(5, 4, 1)},
+      {"xpander(24,4)", make_xpander(4, 4, xp24)},
+      {"xpander(64,4)", make_xpander(4, 12, xp64)},
+      {"randomregular(64,4)", make_random_regular(64, 4, rr64)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        if (s == t) continue;
+        const auto paths = edge_disjoint_paths(g, s, t);
+        ASSERT_EQ(static_cast<int>(paths.size()), unit_max_flow(g, s, t))
+            << name << " " << s << "->" << t;
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+          ASSERT_TRUE(path_is_valid(g, paths[i], s, t))
+              << name << " " << s << "->" << t << ": "
+              << path_to_string(g, paths[i]);
+          for (std::size_t j = i + 1; j < paths.size(); ++j) {
+            ASSERT_TRUE(paths_edge_disjoint(paths[i], paths[j]));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GraphAlgorithms, EwspFractionsFormUnitFlow) {

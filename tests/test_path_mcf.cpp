@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collectives/demand.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/concurrent_flow.hpp"
 
@@ -66,6 +67,49 @@ TEST(PathMcf, WeightsRespectCapacitiesAndDemands) {
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_LE(load[static_cast<std::size_t>(e)], g.edge(e).capacity + 1e-6);
+  }
+}
+
+TEST(PathMcf, ExactOptimumOnGenKautzCerioFabrics) {
+  // The pMCF optima the cerio pipeline serves for GK16 and GK27 (d=4), as
+  // exact fractions: F = 1/λ* must come back from the min-congestion LP
+  // to solver precision.
+  const struct {
+    int n;
+    double f;
+  } cases[] = {{16, 5.0 / 41.0}, {27, 51.0 / 772.0}};
+  for (const auto& c : cases) {
+    const DiGraph g = make_generalized_kautz(c.n, 4);
+    const auto sol =
+        solve_path_mcf_exact(g, build_disjoint_path_set(g, all_nodes(g)));
+    EXPECT_NEAR(sol.concurrent_flow, c.f, 1e-12 * c.f) << "GK" << c.n;
+  }
+}
+
+TEST(PathMcf, WeightedWeightsCarryDemandTimesFWithinCapacity) {
+  // The PathMcfSolution contract under skewed demand: Σ_p w_kp = d_k·F
+  // for every commodity and no link loaded past its capacity.
+  const DiGraph g = make_generalized_kautz(16, 4);
+  const DemandMatrix demand = DemandMatrix::zipf(g.num_nodes(), 1.2);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g), &demand);
+  const auto sol = solve_path_mcf_exact(g, set);
+  ASSERT_GT(sol.concurrent_flow, 0.0);
+  ASSERT_EQ(sol.weights.size(), set.candidates.size());
+  std::vector<double> load(static_cast<std::size_t>(g.num_edges()), 0.0);
+  for (std::size_t k = 0; k < set.candidates.size(); ++k) {
+    double routed = 0.0;
+    for (std::size_t p = 0; p < set.candidates[k].size(); ++p) {
+      routed += sol.weights[k][p];
+      for (const EdgeId e : set.candidates[k][p]) {
+        load[static_cast<std::size_t>(e)] += sol.weights[k][p];
+      }
+    }
+    const double want = set.demand_of(k) * sol.concurrent_flow;
+    EXPECT_NEAR(routed, want, 1e-9 * want) << "commodity " << k;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_LE(load[static_cast<std::size_t>(e)], g.edge(e).capacity * (1.0 + 1e-9))
+        << "edge " << e;
   }
 }
 
