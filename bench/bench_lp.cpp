@@ -6,7 +6,10 @@
 // partial pricing) — plus the warm-start Fig. 9-style disabled-link sweep
 // comparing cold starts, primal warm starts (feasibility restoration), and
 // DUAL warm starts (the dual simplex iterating directly on the
-// still-dual-feasible basis).
+// still-dual-feasible basis). The full run also times the pipeline's own
+// GK14 oneCCL tsMCF LP twice: cold on the two-phase primal, and on the dual
+// simplex from the slack basis (the path solve_tsmcf_exact takes). The
+// dense reference is left out there: 28k columns are beyond it.
 //
 // Usage:
 //   bench_lp [--smoke] [--json PATH]
@@ -28,6 +31,7 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "graph/algorithms.hpp"
@@ -126,6 +130,34 @@ Comparison compare(const std::string& name, const LpModel& model) {
   return c;
 }
 
+/// A pipeline LP timed on both cold engines: the two-phase primal from the
+/// crash basis, and the dual simplex from slack_basis().
+struct PipelineLp {
+  std::string name;
+  int rows = 0;
+  int columns = 0;
+  LpSolution primal;
+  LpSolution dual;
+
+  [[nodiscard]] bool objectives_match() const {
+    return primal.optimal() && dual.optimal() &&
+           std::abs(primal.objective - dual.objective) <=
+               1e-9 * std::max(1.0, std::abs(primal.objective));
+  }
+};
+
+PipelineLp time_pipeline_lp(const std::string& name, const LpModel& model) {
+  PipelineLp p;
+  p.name = name;
+  p.rows = model.num_rows();
+  p.columns = model.num_variables();
+  p.primal = fastest_of_3([&] { return solve_lp(model); });
+  const LpBasis slack = slack_basis(model);
+  p.dual = fastest_of_3(
+      [&] { return solve_lp(model, {}, &slack, LpWarmMode::kDual); });
+  return p;
+}
+
 struct WarmSweep {
   int scenarios = 0;
   double cold_seconds = 0.0;
@@ -169,6 +201,20 @@ int main(int argc, char** argv) {
     comparisons.push_back(compare("tsmcf_n" + std::to_string(n), model));
     std::cout << "  " << comparisons.back().name << ": "
               << comparisons.back().speedup() << "x\n";
+  }
+
+  // ---- the pipeline's own tsMCF LP (full run only) ------------------------
+  std::vector<PipelineLp> pipeline_lps;
+  if (!smoke) {
+    const DiGraph g = make_generalized_kautz(14, 4);
+    const LpModel model = build_tsmcf_model(g, diameter(g) + 1,
+                                            TerminalPairs(all_nodes(g)));
+    pipeline_lps.push_back(time_pipeline_lp("tsmcf_genkautz14", model));
+    const PipelineLp& p = pipeline_lps.back();
+    std::cout << "  " << p.name << " (" << p.rows << " x " << p.columns
+              << "): cold primal " << p.primal.solve_seconds << "s/"
+              << p.primal.iterations << " it -> slack dual "
+              << p.dual.solve_seconds << "s/" << p.dual.iterations << " it\n";
   }
 
   // ---- Fig. 9-style disabled-link sweep with warm starts ------------------
@@ -236,6 +282,24 @@ int main(int argc, char** argv) {
         .cell(c.objectives_match() ? "yes" : "NO");
   }
   table.print(std::cout);
+  if (!pipeline_lps.empty()) {
+    std::cout << "\n";
+    Table cold({"pipeline LP", "rows", "cols", "primal_s", "primal_it",
+                "dual_s", "dual_it", "vs_primal", "obj_match"});
+    for (const auto& p : pipeline_lps) {
+      cold.row()
+          .cell(p.name)
+          .cell(static_cast<long long>(p.rows))
+          .cell(static_cast<long long>(p.columns))
+          .cell(p.primal.solve_seconds, 4)
+          .cell(p.primal.iterations)
+          .cell(p.dual.solve_seconds, 4)
+          .cell(p.dual.iterations)
+          .cell(p.primal.solve_seconds / p.dual.solve_seconds, 2)
+          .cell(p.objectives_match() ? "yes" : "NO");
+    }
+    cold.print(std::cout);
+  }
   std::cout << "\nFig. 9-style warm sweep (" << sweep.scenarios
             << " scenarios): cold " << sweep.cold_seconds << "s/"
             << sweep.cold_iterations << " it, primal-warm "
@@ -264,6 +328,21 @@ int main(int argc, char** argv) {
          << ", \"objective\": " << c.sparse_objective << "}"
          << (i + 1 < comparisons.size() ? ",\n" : "\n");
     }
+    js << "  ],\n  \"pipeline_lps\": [\n";
+    for (std::size_t i = 0; i < pipeline_lps.size(); ++i) {
+      const auto& p = pipeline_lps[i];
+      js << "    {\"lp\": \"" << p.name << "\", \"rows\": " << p.rows
+         << ", \"columns\": " << p.columns
+         << ", \"primal_seconds\": " << p.primal.solve_seconds
+         << ", \"primal_iterations\": " << p.primal.iterations
+         << ", \"dual_seconds\": " << p.dual.solve_seconds
+         << ", \"dual_iterations\": " << p.dual.iterations
+         << ", \"dual_used\": " << (p.dual.stats.dual_used ? "true" : "false")
+         << ", \"objective\": " << std::setprecision(12) << p.primal.objective
+         << std::setprecision(6) << ", \"objectives_match\": "
+         << (p.objectives_match() ? "true" : "false") << "}"
+         << (i + 1 < pipeline_lps.size() ? ",\n" : "\n");
+    }
     js << "  ],\n  \"fig9_warm_sweep\": {\"scenarios\": " << sweep.scenarios
        << ", \"cold_seconds\": " << sweep.cold_seconds
        << ", \"warm_seconds\": " << sweep.warm_seconds
@@ -282,6 +361,14 @@ int main(int argc, char** argv) {
     if (!c.objectives_match()) {
       std::cerr << "FAIL: objective mismatch on " << c.name << ": dense "
                 << c.dense_objective << " vs sparse " << c.sparse_objective
+                << "\n";
+      failed = true;
+    }
+  }
+  for (const auto& p : pipeline_lps) {
+    if (!p.objectives_match()) {
+      std::cerr << "FAIL: slack dual and cold primal disagree on " << p.name
+                << ": " << p.dual.objective << " vs " << p.primal.objective
                 << "\n";
       failed = true;
     }

@@ -30,9 +30,10 @@ enum class ScheduleKind { kLinkTsMcf, kLinkUnrolled, kPathPMcf, kPathExtracted }
 
 struct ToolchainOptions {
   /// Max nodes for which the exact tsMCF LP is attempted. Raised from 10
-  /// when the sparse revised simplex replaced the dense solver: GenKautz
-  /// N=14 (d=4) tsMCF now solves in ~4s where the dense solver needed that
-  /// for N=10 (see BENCH_lp.json).
+  /// when the sparse revised simplex replaced the dense solver. The GenKautz
+  /// N=14 (d=4) tsMCF LP takes 3,139 dual pivots from the slack basis,
+  /// ~3.5× faster than the 14,029-pivot cold primal (BENCH_lp.json,
+  /// tsmcf_genkautz14).
   int exact_tsmcf_limit = 14;
   /// Fig. 1 "#(s,d) paths large?" threshold: bounded-length path count per
   /// pair above which pMCF is abandoned for MCF-extP.

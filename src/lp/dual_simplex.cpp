@@ -1,15 +1,20 @@
-// Bounded-variable dual simplex — the warm re-solve driver of solve_lp().
+// Bounded-variable dual simplex — the engine solve_lp() runs on any
+// dual-feasible starting basis.
 //
-// A basis that was optimal stays DUAL feasible when only the rhs or the
-// variable bounds move (reduced costs do not depend on either), which is
-// exactly what the perturbed re-solve paths do: the Fig. 9 disabled-link
-// sweeps collapse capacities, schedule-cache revalidation shifts demands,
-// the decomposed master re-solves under new cut rhs, and the child LPs share
-// a shape with per-source rhs. The dual simplex iterates directly on such a
-// basis — each pivot exchanges the most-infeasible basic variable for a
-// nonbasic one chosen by the dual ratio test — so no phase-1/restoration
-// work is ever done and the iteration count scales with the size of the
-// perturbation, not the size of the LP.
+// Two kinds of solve supply one. A basis that was optimal stays DUAL
+// feasible when only the rhs or the variable bounds move (reduced costs do
+// not depend on either), which is exactly what the perturbed re-solve paths
+// do: the Fig. 9 disabled-link sweeps collapse capacities, schedule-cache
+// revalidation shifts demands, the decomposed master re-solves under new cut
+// rhs, and the child LPs share a shape with per-source rhs; there the
+// iteration count scales with the size of the perturbation, not the size of
+// the LP. And an LP minimizing nonnegative costs is dual feasible at the
+// all-slack basis (slack_basis()), so it can be solved cold here: the exact
+// tsMCF LP does so whenever it has no warm basis, skipping the phase 1 that
+// the primal would spend driving artificials out of its equality rows. The
+// dual simplex iterates directly on either basis — each pivot exchanges the
+// most-infeasible basic variable for a nonbasic one chosen by the dual ratio
+// test — so no phase-1/restoration work is ever done.
 //
 // Implementation notes:
 //   * leaving row: largest squared bound violation scaled by dual

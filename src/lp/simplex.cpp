@@ -515,13 +515,15 @@ void merge_failed_attempt(LpSolution& out, const SolverErrorContext& context) {
   if (context.iterations > 0) {
     out.iterations += context.iterations;
     out.stats.iterations += context.iterations;
+    const auto n = static_cast<std::uint64_t>(context.iterations);
     if (std::string_view(context.phase) == "dual") {
       out.stats.dual_iterations += context.iterations;
+      A2A_COUNTER("lp.dual_iterations").add(n);
     } else {
       out.stats.primal_iterations += context.iterations;
+      A2A_COUNTER("lp.primal_iterations").add(n);
     }
-    A2A_COUNTER("lp.iterations")
-        .add(static_cast<std::uint64_t>(context.iterations));
+    A2A_COUNTER("lp.iterations").add(n);
   }
   if (context.refactorizations > 0) {
     out.stats.refactorizations += context.refactorizations;
@@ -708,6 +710,15 @@ LpSolution solve_lp_warm(const LpModel& model, const SimplexOptions& options,
   LpSolution sol = solve_lp(model, options, seed, warm_mode);
   if (warm != nullptr && sol.optimal()) *warm = sol.basis;
   return sol;
+}
+
+LpBasis slack_basis(const LpModel& model) {
+  LpBasis basis;
+  basis.variables.assign(static_cast<std::size_t>(model.num_variables()),
+                         LpVarStatus::kAtLower);
+  basis.rows.assign(static_cast<std::size_t>(model.num_rows()),
+                    LpVarStatus::kBasic);
+  return basis;
 }
 
 std::string to_string(LpStatus status) {

@@ -11,9 +11,11 @@
 //     starts from a prior basis.
 //     Warm starts choose between the primal simplex (with in-place
 //     feasibility restoration) and a bounded-variable DUAL simplex that
-//     iterates directly on a still-dual-feasible basis — the natural engine
-//     for re-solves whose rhs/bounds moved under an optimal basis (Fig. 9
-//     disabled-link sweeps, schedule-cache revalidation, child LPs);
+//     iterates directly on a dual-feasible basis — the natural engine for
+//     re-solves whose rhs/bounds moved under an optimal basis (Fig. 9
+//     disabled-link sweeps, schedule-cache revalidation, child LPs), and
+//     for cold solves of LPs with nonnegative minimization costs, seeded
+//     with slack_basis() (the exact tsMCF LP);
 //   * solve_lp_dense() — the original dense-inverse Dantzig solver, kept as
 //     the cross-check reference and the "before" side of bench_lp.
 #pragma once
@@ -229,9 +231,11 @@ inline constexpr double kLpDualPerturb = 1e-5;
 ///             with the primal simplex.
 ///   kDual   — adopt the basis when it is still DUAL feasible (reduced costs
 ///             have the optimal signs — always true when only rhs/bounds
-///             changed since the basis was optimal) and run the dual simplex
-///             directly on it, with no phase-1/restoration work at all. Falls
-///             back to the primal path when the basis is dual infeasible.
+///             changed since the basis was optimal, and for slack_basis()
+///             of a model whose minimization costs are all nonnegative) and
+///             run the dual simplex directly on it, with no phase-1/
+///             restoration work at all. Falls back to the primal path when
+///             the basis is dual infeasible.
 ///   kAuto   — primal-feasible basis: primal phase 2 (nothing to repair);
 ///             otherwise prefer the dual when the basis is dual feasible,
 ///             else primal restoration. The right default for perturbed
@@ -257,6 +261,13 @@ enum class LpWarmMode { kPrimal, kDual, kAuto };
                                        const SimplexOptions& options,
                                        LpBasis* warm,
                                        LpWarmMode warm_mode = LpWarmMode::kAuto);
+
+/// The all-slack basis of `model`: every structural nonbasic at its lower
+/// bound and every row's slack basic. It is trivially nonsingular, and it is
+/// dual feasible whenever the minimization costs are nonnegative and every
+/// structural has a finite lower bound — then solve_lp(model, options,
+/// &basis, LpWarmMode::kDual) runs the dual simplex from it with no phase 1.
+[[nodiscard]] LpBasis slack_basis(const LpModel& model);
 
 /// Reference implementation: the original dense-inverse Dantzig simplex.
 /// Same statuses and objectives; no basis export and no warm starts.

@@ -433,6 +433,10 @@ void SimplexCore::finish(LpSolution& out, const LpModel& model,
   // two cores and pushes both; the metrics report total work done, the
   // per-solve LpStats report what the returned solution cost.
   A2A_COUNTER("lp.iterations").add(static_cast<std::uint64_t>(stats_.iterations));
+  A2A_COUNTER("lp.primal_iterations")
+      .add(static_cast<std::uint64_t>(stats_.primal_iterations));
+  A2A_COUNTER("lp.dual_iterations")
+      .add(static_cast<std::uint64_t>(stats_.dual_iterations));
   A2A_COUNTER("lp.refactorizations")
       .add(static_cast<std::uint64_t>(stats_.refactorizations));
   A2A_COUNTER("lp.ft_updates").add(static_cast<std::uint64_t>(stats_.ft_updates));

@@ -55,12 +55,12 @@ class SimplexCore {
   /// bases repair feasibility in place). Defined in simplex.cpp.
   LpSolution run_primal(const LpModel& model);
 
-  /// Bounded-variable dual simplex on the adopted warm basis. Must only be
-  /// called when warm_started() && dual_feasible(). Any outcome other than
-  /// kOptimal/kUnbounded means the caller should fall back to a cold primal
-  /// solve (the dual loop never declares infeasibility itself — drift could
-  /// fake it, and the primal is the authoritative oracle). Defined in
-  /// dual_simplex.cpp.
+  /// Bounded-variable dual simplex on the adopted warm basis (a prior
+  /// optimum or slack_basis()). Must only be called when warm_started() &&
+  /// dual_feasible(). Any outcome other than kOptimal/kUnbounded means the
+  /// caller should fall back to a cold primal solve (the dual loop never
+  /// declares infeasibility itself — drift could fake it, and the primal is
+  /// the authoritative oracle). Defined in dual_simplex.cpp.
   LpSolution run_dual(const LpModel& model);
 
  protected:

@@ -119,7 +119,19 @@ TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
   const LpModel model = build_tsmcf_model(g, steps, pairs, &u_var, demand);
   auto var = [&](int k, int e, int t) { return tsmcf_var(E, steps, k, e, t); };
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
+  // Without a warm basis, start from the all-slack basis and run the dual
+  // simplex. The objective min Σ_t U_t has nonnegative costs, so that basis
+  // is already dual feasible and the dual needs no phase 1, where the cold
+  // primal would first drive an artificial out of every equality row. If
+  // the dual gives up, solve_lp falls back to the cold primal.
+  LpSolution sol;
+  if (warm != nullptr && !warm->empty()) {
+    sol = solve_lp_warm(model, lp, warm, warm_mode);
+  } else {
+    const LpBasis slack = slack_basis(model);
+    sol = solve_lp(model, lp, &slack, LpWarmMode::kDual);
+    if (warm != nullptr && sol.optimal()) *warm = sol.basis;
+  }
   if (!sol.optimal()) {
     throw SolverError("tsMCF LP failed: " + to_string(sol.status));
   }
@@ -147,8 +159,8 @@ TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
       }
     }
   }
-  out.lp_iterations = sol.iterations;
   out.solve_seconds = sol.solve_seconds;
+  out.lp_stats = sol.stats;
   return out;
 }
 

@@ -27,8 +27,10 @@ struct TsMcfSolution {
   /// flow[pair][step-1][edge] — fraction of the (s,d) shard crossing `edge`
   /// during that step.
   std::vector<std::vector<std::vector<double>>> flow;
-  long long lp_iterations = 0;
   double solve_seconds = 0.0;
+  /// Engine counters of the LP solve: pivots in total and per engine, and
+  /// whether the dual simplex produced the answer.
+  LpStats lp_stats;
 };
 
 /// Variable layout of the tsMCF LP: flow of commodity k on edge e during
@@ -56,8 +58,10 @@ struct TsMcfSolution {
 /// small fabrics (the paper's N=8/N=27 testbeds; N=27 already requires the
 /// decomposed path-unrolled pipeline in schedule/compile_link.hpp).
 /// `steps` must be >= diameter(g). A non-null `warm` is used as the LP
-/// starting basis when non-empty and receives the final basis, letting
-/// repeated solves on the same fabric shape skip phase 1.
+/// starting basis when non-empty (exploited per `warm_mode`) and receives
+/// the final basis, letting repeated solves on the same fabric shape skip
+/// phase 1. Without a warm basis the LP starts from slack_basis() and runs
+/// the dual simplex; `warm_mode` then plays no part.
 [[nodiscard]] TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
                                               const std::vector<NodeId>& terminals,
                                               const SimplexOptions& lp = {},

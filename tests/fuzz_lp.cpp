@@ -9,6 +9,9 @@
 //   * sparse Forrest–Tomlin (presolve off);
 //   * the full default (FT + presolve + Harris + partial pricing);
 //   * a dual-warm re-solve of a perturbed instance vs its cold solve;
+//   * a dual solve from the all-slack basis (slack_basis()) on every
+//     instance where that basis is dual feasible, and on random tsMCF
+//     models — the cold-solve path of solve_tsmcf_exact;
 //   * an EXACT rational tableau simplex (Bland's rule, Rational arithmetic)
 //     on the small all-integer instances, where "identical objective" means
 //     equality against the exact optimum, not solver-vs-solver agreement.
@@ -27,9 +30,11 @@
 
 #include "common/random.hpp"
 #include "common/rational.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "lp/simplex.hpp"
 #include "mcf/concurrent_flow.hpp"
+#include "mcf/timestepped.hpp"
 
 namespace a2a {
 namespace {
@@ -368,6 +373,19 @@ LpModel random_network_lp(Rng& rng, DiGraph* graph_out) {
   return ::testing::AssertionSuccess();
 }
 
+/// True when the all-slack basis is dual feasible: every column that is not
+/// fixed sits at a finite lower bound with a nonnegative minimization cost.
+bool slack_basis_dual_feasible(const LpModel& model) {
+  const double sign = model.sense() == Sense::kMaximize ? -1.0 : 1.0;
+  for (int j = 0; j < model.num_variables(); ++j) {
+    if (model.lower(j) == model.upper(j)) continue;
+    if (!std::isfinite(model.lower(j)) || sign * model.objective(j) < 0.0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 struct SolverPath {
   const char* name;
   SimplexOptions options;
@@ -405,6 +423,8 @@ TEST(FuzzLp, AllSolverPathsAgreeOnRandomInstances) {
   long long infeasible = 0;
   long long unbounded = 0;
   long long exact_checked = 0;
+  long long slack_dual_legs = 0;
+  long long slack_dual_runs = 0;
   for (long long i = 0; i < iters; ++i) {
     Rng rng(0x5EEDF00D + static_cast<std::uint64_t>(i));
     const int family = static_cast<int>(rng.next_below(10));
@@ -432,8 +452,9 @@ TEST(FuzzLp, AllSolverPathsAgreeOnRandomInstances) {
       case LpStatus::kUnbounded: ++unbounded; break;
       default: FAIL() << "unexpected status from the dense reference";
     }
+    std::optional<ExactResult> exact;
     if (exact_family) {
-      const auto exact = exact_solve(model);
+      exact = exact_solve(model);
       if (exact.has_value()) {
         ++exact_checked;
         ASSERT_EQ(dense.status, exact->status) << "vs exact oracle";
@@ -444,6 +465,34 @@ TEST(FuzzLp, AllSolverPathsAgreeOnRandomInstances) {
         }
       }
     }
+    if (slack_basis_dual_feasible(model)) {
+      // The dual from the slack basis, checked against the exact oracle
+      // where it applies and against the cold primal otherwise.
+      ++slack_dual_legs;
+      const LpBasis slack = slack_basis(model);
+      const LpSolution s = solve_lp(model, {}, &slack, LpWarmMode::kDual);
+      if (s.stats.dual_used) ++slack_dual_runs;
+      LpStatus want_status;
+      double want_objective;
+      const char* oracle;
+      if (exact.has_value()) {
+        want_status = exact->status;
+        want_objective = exact->objective.to_double();
+        oracle = "slack-dual vs exact oracle";
+      } else {
+        const LpSolution cold = solve_lp(model);
+        want_status = cold.status;
+        want_objective = cold.objective;
+        oracle = "slack-dual vs cold primal";
+      }
+      ASSERT_EQ(s.status, want_status) << oracle;
+      if (s.optimal()) {
+        ASSERT_NEAR(s.objective, want_objective,
+                    1e-6 * std::max(1.0, std::abs(want_objective)))
+            << oracle;
+        ASSERT_TRUE(feasible(model, s.values)) << oracle;
+      }
+    }
   }
   // The generator must exercise every status and the oracle must actually
   // fire — a silent skew here would hollow the harness out.
@@ -451,6 +500,8 @@ TEST(FuzzLp, AllSolverPathsAgreeOnRandomInstances) {
   EXPECT_GT(infeasible, 0);
   EXPECT_GT(unbounded, 0);
   EXPECT_GT(exact_checked, iters / 8);
+  EXPECT_GT(slack_dual_legs, iters / 50);
+  EXPECT_GT(slack_dual_runs, iters / 100);
 }
 
 TEST(FuzzLp, DualWarmResolvesMatchColdOnPerturbedInstances) {
@@ -483,6 +534,38 @@ TEST(FuzzLp, DualWarmResolvesMatchColdOnPerturbedInstances) {
         << "instance " << i;
     ASSERT_TRUE(feasible(perturbed, dual.values)) << "instance " << i;
   }
+}
+
+TEST(FuzzLp, SlackDualMatchesColdPrimalOnRandomTsMcf) {
+  // tsMCF models minimize Σ_t U_t with nonnegative costs, so the slack basis
+  // is dual feasible and solve_tsmcf_exact solves them cold on the dual.
+  // Random strongly connected networks, terminal sets and step counts.
+  const long long iters = std::max(1LL, fuzz_iterations() / 16);
+  long long dual_runs = 0;
+  for (long long i = 0; i < iters; ++i) {
+    Rng rng(0x75AC0000 + static_cast<std::uint64_t>(i));
+    DiGraph g(1);
+    (void)random_network_lp(rng, &g);  // ring + chords: strongly connected
+    std::vector<NodeId> terminals;
+    const int count = rng.next_int(2, std::min(g.num_nodes(), 6) + 1);
+    for (NodeId t = 0; t < count; ++t) terminals.push_back(t);
+    const int steps = diameter(g) + rng.next_int(0, 2);
+    const LpModel model =
+        build_tsmcf_model(g, steps, TerminalPairs(terminals));
+    SCOPED_TRACE(::testing::Message() << "instance " << i << " n=" << model.num_variables()
+                                      << " m=" << model.num_rows());
+    ASSERT_TRUE(slack_basis_dual_feasible(model));
+    const LpSolution cold = solve_lp(model);
+    const LpBasis slack = slack_basis(model);
+    const LpSolution dual = solve_lp(model, {}, &slack, LpWarmMode::kDual);
+    ASSERT_TRUE(cold.optimal());
+    ASSERT_TRUE(dual.optimal());
+    if (dual.stats.dual_used) ++dual_runs;
+    ASSERT_NEAR(dual.objective, cold.objective,
+                1e-7 * std::max(1.0, std::abs(cold.objective)));
+    ASSERT_TRUE(feasible(model, dual.values));
+  }
+  EXPECT_EQ(dual_runs, iters);
 }
 
 }  // namespace

@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
+#include "collectives/collective.hpp"
+#include "collectives/demand.hpp"
+#include "core/api.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
+#include "obs/metrics.hpp"
+#include "schedule/validate.hpp"
 
 namespace a2a {
 namespace {
@@ -96,6 +104,77 @@ TEST(TsMcf, TotalUtilizationAtLeastFluidBound) {
   const auto sol = solve_tsmcf_exact(g, diameter(g) + 1, all_nodes(g));
   check_tsmcf_invariants(g, sol);
   EXPECT_GE(sol.total_utilization, 1.0);  // trivially >= (N-1)/d = 7/3? no: >= 1
+}
+
+TEST(TsMcf, SlackDualMatchesColdPrimalOracle) {
+  // solve_tsmcf_exact starts cold solves from the slack basis on the dual
+  // simplex. The cold two-phase primal on the same model stays the oracle:
+  // on every fabric where it finishes, both must reach the same optimum.
+  struct Case {
+    const char* name;
+    DiGraph graph;
+    const char* demand;  ///< nullptr = unit all-to-all
+  };
+  const std::vector<Case> cases = {
+      {"genkautz(8,4)", make_generalized_kautz(8, 4), nullptr},
+      {"genkautz(10,4)", make_generalized_kautz(10, 4), nullptr},
+      {"genkautz(12,4)", make_generalized_kautz(12, 4), nullptr},
+      {"genkautz(14,4)", make_generalized_kautz(14, 4), nullptr},
+      {"hypercube(3)", make_hypercube(3), nullptr},
+      {"ring(10)", make_ring(10), nullptr},
+      {"torus 2x2x3", make_torus({2, 2, 3}), nullptr},
+      {"genkautz(14,4) zipf:1.2", make_generalized_kautz(14, 4), "zipf:1.2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DiGraph& g = c.graph;
+    const int steps = diameter(g) + 1;
+    std::optional<DemandMatrix> demand;
+    if (c.demand != nullptr) {
+      WorkloadSpec workload;
+      workload.demand = DemandSpec::parse(c.demand);
+      demand = effective_demand(workload, g.num_nodes());
+    }
+    const DemandMatrix* d = demand ? &*demand : nullptr;
+
+    const auto sol = solve_tsmcf_exact(g, steps, all_nodes(g), {}, nullptr,
+                                       LpWarmMode::kAuto, d);
+    EXPECT_TRUE(sol.lp_stats.dual_used);
+    EXPECT_GT(sol.lp_stats.dual_iterations, 0);
+    EXPECT_EQ(sol.lp_stats.cold_retries, 0);
+    if (d == nullptr) check_tsmcf_invariants(g, sol);
+
+    const LpSolution primal = solve_lp(
+        build_tsmcf_model(g, steps, TerminalPairs(all_nodes(g)), nullptr, d));
+    ASSERT_TRUE(primal.optimal());
+    EXPECT_FALSE(primal.stats.dual_used);
+    EXPECT_NEAR(sol.total_utilization, primal.objective,
+                1e-9 * std::abs(primal.objective));
+  }
+}
+
+TEST(TsMcf, GenKautz13OneCclSolvesThroughTheDual) {
+  // The cold primal stalls on this LP: it falls into Bland's rule and ends
+  // at the iteration limit after minutes. From the slack basis the dual
+  // solves it in a few thousand pivots.
+  const DiGraph g = make_generalized_kautz(13, 4);
+  const auto ts = solve_tsmcf_exact(g, diameter(g) + 1, all_nodes(g));
+  EXPECT_TRUE(ts.lp_stats.dual_used);
+  EXPECT_EQ(ts.lp_stats.cold_retries, 0);
+  EXPECT_NEAR(1.0 / ts.total_utilization, 0.171206, 1e-6);
+
+  // The same LP through the pipeline: the schedule validates, and the
+  // lp.dual_iterations counter shows which engine solved it.
+  obs::Counter& dual_pivots =
+      obs::MetricsRegistry::global().counter("lp.dual_iterations");
+  const std::uint64_t dual_before = dual_pivots.value();
+  const GeneratedSchedule r = synthesize_schedule(g, cpu_oneccl_fabric());
+  ASSERT_EQ(r.kind, ScheduleKind::kLinkTsMcf);
+  ASSERT_TRUE(r.link.has_value());
+  EXPECT_GT(dual_pivots.value(), dual_before);
+  EXPECT_NEAR(r.concurrent_flow, 1.0 / ts.total_utilization, 1e-12);
+  const auto v = validate_link_schedule(r.schedule_graph, *r.link, r.terminals);
+  EXPECT_TRUE(v.ok) << (v.errors.empty() ? "" : v.errors.front());
 }
 
 }  // namespace
